@@ -42,15 +42,12 @@ class BoConfig:
     n_iter: int
     prior: PriorSampleSet
     seed: int = 13
-    tie_break: str = "first-index"
 
     def __post_init__(self) -> None:
         if self.n_init < 1:
             raise InputError(f"n_init must be >= 1, got {self.n_init}")
         if self.n_iter < self.n_init:
             raise InputError(f"n_iter={self.n_iter} must be >= n_init={self.n_init}")
-        if self.tie_break != "first-index":
-            raise InputError(f"unsupported tie_break {self.tie_break!r}")
         if len(self.prior) < 1:
             raise InputError("prior sample set is empty")
 
@@ -117,18 +114,11 @@ def log_importance_weights(
     likelihood evaluation fails get weight zero; if every sample fails
     the weights fall back to uniform and the result is flagged.
     """
-    observed_locations = np.asarray(observed_locations, dtype=float)
-    observed_values = np.asarray(observed_values, dtype=float)
     if len(observed_values) < 1:
         raise InputError("importance weights need at least one observation")
-    logs = np.full(len(prior), -math.inf)
-    failed = np.zeros(len(prior), dtype=bool)
-    for i, theta in enumerate(prior.samples):
-        try:
-            logs[i] = GpSolve(spec, theta, observed_locations, observed_values).loglik
-        except NumericalError:
-            failed[i] = True
-    return _normalise_weights(logs, failed)
+    return _weighted_acquisition_batch(
+        spec, prior, observed_locations, observed_values, np.empty((0, 2))
+    )[1]
 
 
 def weighted_acquisition(

@@ -32,9 +32,10 @@ from .data import (
     load_grid_csv,
     load_station_csv,
     preprocess,
+    require_fields,
     save_dataset,
 )
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, ParseError
 from .kernels import KernelSpec, ThetaVector, correlation_at_distance, get_spec
 from .mcmc import PriorSampleSet, diagnostics_csv, load_prior, run_chain, save_prior
 from .metrics import (
@@ -409,7 +410,11 @@ def cmd_correlation_curve(prior_path, theta_path, d_max, n_points, out_dir):
         path = Path(theta_path)
         if not path.exists():
             raise InputError(f"theta file not found: {path}")
-        rec = json.loads(path.read_text())
+        try:
+            rec = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{exc.lineno}: {exc}") from exc
+        require_fields(rec, ("kernel", "values"), f"{path}:1")
         spec = get_spec(rec["kernel"])
         theta = ThetaVector(values=rec["values"], gamma=rec.get("gamma"))
         theta.validate(spec)

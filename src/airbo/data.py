@@ -365,6 +365,16 @@ def _snapshot_record(snap: Snapshot, role: str) -> dict:
     }
 
 
+def require_fields(rec, names: tuple[str, ...], where: str) -> None:
+    """Raise a :class:`ParseError` at ``where`` (``path:line``) unless the
+    JSON record ``rec`` is an object holding every field in ``names``."""
+    if not isinstance(rec, dict):
+        raise ParseError(f"{where}: expected a JSON object")
+    for name in names:
+        if name not in rec:
+            raise ParseError(f"{where}: missing field {name!r}")
+
+
 def _snapshot_from_record(rec: dict) -> Snapshot:
     raw = np.array([math.nan if v is None else v for v in rec["values_raw"]], dtype=float)
     pre = rec.get("values_pre")
@@ -439,6 +449,7 @@ def load_dataset(path) -> Dataset:
             if kind == "stats":
                 stats = rec
             elif kind == "snapshot":
+                require_fields(rec, ("id", "locations", "values_raw", "mask"), f"{path}:{lineno}")
                 (tuning if rec.get("role") == "tuning" else test).append(
                     _snapshot_from_record(rec)
                 )

@@ -44,6 +44,14 @@ def _stable_cholesky(K: np.ndarray) -> np.ndarray:
     )
 
 
+def _factorise(K: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Cholesky factor ``L``, ``alpha = K^-1 y`` and the log marginal likelihood."""
+    L = _stable_cholesky(K)
+    alpha = cho_solve((L, True), y)
+    loglik = float(-0.5 * y @ alpha - np.log(np.diag(L)).sum() - 0.5 * len(y) * _LOG_2PI)
+    return L, alpha, loglik
+
+
 class GpSolve:
     """One factorised GP fit: shared by likelihood and prediction.
 
@@ -64,19 +72,10 @@ class GpSolve:
         self.X = X
         self.y = y
         K = CovarianceBuilder(spec, X).gram(theta, include_noise=True)
-        self._L = _stable_cholesky(K)
-        self._alpha = cho_solve((self._L, True), y)
+        self._L, self._alpha, self.loglik = _factorise(K, y)
         self._k0 = float(
             _composite_terms(spec, theta, 0.0, 0.0, 0.0)
         )  # prior variance at zero lag
-
-    @property
-    def loglik(self) -> float:
-        return float(
-            -0.5 * self.y @ self._alpha
-            - np.log(np.diag(self._L)).sum()
-            - 0.5 * len(self.y) * _LOG_2PI
-        )
 
     def posterior(self, X_star) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and variances at a batch of points."""
@@ -119,10 +118,6 @@ class CachedMarginal:
             raise InputError(
                 f"values shape {self._y.shape} does not match {self._builder.n} locations"
             )
-        self._const = -0.5 * len(self._y) * _LOG_2PI
 
     def __call__(self, theta: ThetaVector) -> float:
-        K = self._builder.gram(theta, include_noise=True)
-        L = _stable_cholesky(K)
-        alpha = cho_solve((L, True), self._y)
-        return float(-0.5 * self._y @ alpha - np.log(np.diag(L)).sum() + self._const)
+        return _factorise(self._builder.gram(theta, include_noise=True), self._y)[2]

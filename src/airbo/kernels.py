@@ -146,9 +146,7 @@ class ThetaVector:
                 f"theta slots {sorted(got)} do not match "
                 f"{spec.family.value} layout {sorted(expected)}"
             )
-        for name, v in self.values.items():
-            if not (v > 0) or not math.isfinite(v):
-                raise InputError(f"hyperparameter {name}={v!r} must be finite and > 0")
+        _check_positive(**self.values)
         if spec.has_direction:
             if self.gamma is None or not (0.0 <= self.gamma < math.pi):
                 raise InputError(f"gamma={self.gamma!r} must lie in [0, pi)")
@@ -249,9 +247,9 @@ class CovarianceBuilder:
 
     def gram(self, theta: ThetaVector, include_noise: bool = True) -> np.ndarray:
         theta.validate(self.spec)
+        # exactly symmetric: tx and ty negate exactly under transposition,
+        # and every family sees them only through d2 or a squared projection
         K = _composite_terms(self.spec, theta, self._d2, self._tx, self._ty)
-        # symmetry by construction: keep the upper triangle, mirror it
-        K = np.triu(K) + np.triu(K, 1).T
         if include_noise:
             K[np.diag_indices_from(K)] += theta.noise_variance
         return K

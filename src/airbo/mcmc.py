@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import gammaln
 
-from .data import Snapshot, atomic_write_text
+from .data import Snapshot, atomic_write_text, require_fields
 from .errors import InputError, NumericalError, ParseError, SpecMismatchError
 from .gp import CachedMarginal
 from .kernels import NOISE_VARIANCE, KernelSpec, SlotKind, ThetaVector, get_spec
@@ -217,7 +217,12 @@ def eta_update(
 
 @dataclass
 class ChainResult:
-    """All stored samples plus per-slot acceptance diagnostics."""
+    """All stored samples plus acceptance diagnostics.
+
+    The ``(H, ·)`` arrays hold, per iteration, accepted moves (out of N
+    snapshots for theta, B sweeps for eta), the theta means over
+    snapshots and the eta values, one column per ``theta_slots`` or
+    ``eta_names`` entry."""
 
     spec: KernelSpec
     samples: list[ChainSample]
@@ -227,7 +232,12 @@ class ChainResult:
     theta_acceptance: dict[str, float]
     eta_acceptance: dict[str, float]
     n_numerical_failures: int
-    iteration_stats: list[dict] = field(default_factory=list)
+    theta_slots: tuple[str, ...]
+    eta_names: tuple[str, ...]
+    theta_accepted: np.ndarray
+    theta_means: np.ndarray
+    eta_accepted: np.ndarray
+    eta_values: np.ndarray
 
     def draw_prior(self, M: int, seed: int, provenance_extra: dict | None = None) -> PriorSampleSet:
         provenance = {
@@ -288,7 +298,7 @@ def run_chain(
     sweep_slots = [s.name for s in spec.sampled_slots]
     if spec.has_direction:
         sweep_slots.append("gamma")
-    eta_slots = [s.name for s in spec.sampled_slots]
+    eta_params = [(s.name, w) for s in spec.sampled_slots for w in ("shape", "scale")]
 
     eta = EtaParams.ones(spec)
     thetas = [sample_theta_from_eta(spec, eta, rngs.theta_proposals) for _ in range(N)]
@@ -300,15 +310,15 @@ def run_chain(
             cur_logliks.append(-math.inf)
 
     samples: list[ChainSample] = []
-    iteration_stats: list[dict] = []
-    theta_acc = {s: 0 for s in sweep_slots}
-    eta_acc = {f"{s}.{w}": 0 for s in eta_slots for w in ("shape", "scale")}
+    theta_accepted = np.zeros((H, len(sweep_slots)), dtype=int)
+    theta_means = np.zeros((H, len(sweep_slots)))
+    eta_accepted = np.zeros((H, len(eta_params)), dtype=int)
+    eta_values = np.zeros((H, len(eta_params)))
     n_failures = 0
 
-    for h in range(1, H + 1):
-        iter_theta_acc = {s: 0 for s in sweep_slots}
+    for h in range(H):
         for n in range(N):
-            for slot in sweep_slots:
+            for j, slot in enumerate(sweep_slots):
                 upd = theta_update(
                     spec,
                     thetas[n],
@@ -322,48 +332,37 @@ def run_chain(
                     n_failures += 1
                 if upd.accepted:
                     thetas[n] = thetas[n].with_value(slot, upd.value)
-                    theta_acc[slot] += 1
-                    iter_theta_acc[slot] += 1
+                    theta_accepted[h, j] += 1
                 cur_logliks[n] = upd.loglik
 
-        iter_eta_acc = {k: 0 for k in eta_acc}
         if not freeze_eta:
             for _ in range(B):
-                for slot in eta_slots:
-                    for which in ("shape", "scale"):
-                        upd = eta_update(spec, slot, which, eta, thetas, rngs, widths)
-                        if upd.accepted:
-                            if which == "shape":
-                                eta.shapes[slot] = upd.value
-                            else:
-                                eta.scales[slot] = upd.value
-                            eta_acc[f"{slot}.{which}"] += 1
-                            iter_eta_acc[f"{slot}.{which}"] += 1
+                for k, (slot, which) in enumerate(eta_params):
+                    upd = eta_update(spec, slot, which, eta, thetas, rngs, widths)
+                    if upd.accepted:
+                        (eta.shapes if which == "shape" else eta.scales)[slot] = upd.value
+                        eta_accepted[h, k] += 1
 
-        samples.append(ChainSample(iteration=h, eta=eta.copy(), theta_all=tuple(thetas)))
-        stats = {"iteration": h}
-        for slot in sweep_slots:
-            stats[f"theta.{slot}.rate"] = iter_theta_acc[slot] / N
-            stats[f"theta.{slot}.mean"] = (
-                float(np.mean([t.slot(slot) for t in thetas]))
-            )
-        for slot in eta_slots:
-            stats[f"eta.{slot}.shape"] = eta.shapes[slot]
-            stats[f"eta.{slot}.scale"] = eta.scales[slot]
-            for which in ("shape", "scale"):
-                stats[f"eta.{slot}.{which}.rate"] = iter_eta_acc[f"{slot}.{which}"] / B
-        iteration_stats.append(stats)
+        samples.append(ChainSample(iteration=h + 1, eta=eta.copy(), theta_all=tuple(thetas)))
+        theta_means[h] = [np.mean([t.slot(slot) for t in thetas]) for slot in sweep_slots]
+        eta_values[h] = [(eta.shapes if w == "shape" else eta.scales)[s] for s, w in eta_params]
 
+    eta_names = tuple(f"{s}.{w}" for s, w in eta_params)
     return ChainResult(
         spec=spec,
         samples=samples,
         burn_in=burn_in,
         B=B,
         seed=seed,
-        theta_acceptance={s: theta_acc[s] / (H * N) for s in sweep_slots},
-        eta_acceptance={k: (0.0 if freeze_eta else v / (H * B)) for k, v in eta_acc.items()},
+        theta_acceptance=dict(zip(sweep_slots, (theta_accepted.sum(axis=0) / (H * N)).tolist())),
+        eta_acceptance=dict(zip(eta_names, (eta_accepted.sum(axis=0) / (H * B)).tolist())),
         n_numerical_failures=n_failures,
-        iteration_stats=iteration_stats,
+        theta_slots=tuple(sweep_slots),
+        eta_names=eta_names,
+        theta_accepted=theta_accepted,
+        theta_means=theta_means,
+        eta_accepted=eta_accepted,
+        eta_values=eta_values,
     )
 
 
@@ -432,11 +431,13 @@ def load_prior(path, expected_spec: KernelSpec | None = None) -> PriorSampleSet:
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
             if rec.get("record") == "header":
+                require_fields(rec, ("kernel",), f"{path}:{lineno}")
                 provenance = {k: v for k, v in rec.items() if k != "record"}
                 spec = get_spec(provenance["kernel"])
             elif rec.get("record") == "sample":
                 if spec is None:
                     raise ParseError(f"{path}:{lineno}: sample before header")
+                require_fields(rec, ("values",), f"{path}:{lineno}")
                 theta = ThetaVector(
                     values=rec["values"],
                     gamma=rec.get("gamma"),
@@ -457,15 +458,24 @@ def load_prior(path, expected_spec: KernelSpec | None = None) -> PriorSampleSet:
 
 
 def diagnostics_csv(result: ChainResult) -> str:
-    """Per-iteration (iteration, slot, acceptance-rate, value) rows."""
+    """Per-iteration (iteration, slot, acceptance-rate, value) rows.
+
+    Each iteration lists its eta parameters sorted by ``slot.which``,
+    then its theta slots sorted by name; rates are accepted moves over
+    B sweeps (eta) or over N snapshots (theta).
+    """
+    N = len(result.samples[0].theta_all)
+    eta_rates = (result.eta_accepted / result.B).tolist()
+    theta_rates = (result.theta_accepted / N).tolist()
+    eta_values, theta_means = result.eta_values.tolist(), result.theta_means.tolist()
+    eta_order = sorted(range(len(result.eta_names)), key=result.eta_names.__getitem__)
+    theta_order = sorted(range(len(result.theta_slots)), key=result.theta_slots.__getitem__)
     lines = ["iteration,slot,acceptance_rate,value"]
-    for stats in result.iteration_stats:
-        h = stats["iteration"]
-        for key in sorted(stats):
-            if key.endswith(".rate") and key.startswith("theta."):
-                slot = key[len("theta.") : -len(".rate")]
-                lines.append(f"{h},{slot},{stats[key]!r},{stats[f'theta.{slot}.mean']!r}")
-            elif key.endswith(".rate") and key.startswith("eta."):
-                name = key[len("eta.") : -len(".rate")]
-                lines.append(f"{h},eta.{name},{stats[key]!r},{stats[f'eta.{name}']!r}")
+    for h in range(len(result.samples)):
+        for k in eta_order:
+            name = result.eta_names[k]
+            lines.append(f"{h + 1},eta.{name},{eta_rates[h][k]!r},{eta_values[h][k]!r}")
+        for j in theta_order:
+            slot = result.theta_slots[j]
+            lines.append(f"{h + 1},{slot},{theta_rates[h][j]!r},{theta_means[h][j]!r}")
     return "\n".join(lines) + "\n"

@@ -5,6 +5,11 @@ sees"). Multiple runs on one snapshot are averaged within the snapshot
 first; means and standard errors are then taken across snapshots.
 Traces of unequal length are truncated to the shortest for the
 cross-snapshot curve; full per-snapshot curves are kept alongside.
+The ratio and distance curves read each row's running best
+(``best_so_far``, ``best_x_km``, ``best_y_km``), which
+:meth:`~airbo.traces.BoTrace.append_observation` maintains with a strict
+``>`` (first index on ties), so both refer to the same estimated
+maximiser.
 """
 
 from __future__ import annotations
@@ -45,25 +50,6 @@ def summarize_interval(values) -> tuple[float, float]:
     mean = float(values.mean())
     sem = float(values.std(ddof=1) / math.sqrt(values.size))
     return mean - sem, mean + sem
-
-
-def best_so_far_indices(trace: BoTrace) -> np.ndarray:
-    """Index (into trace rows) of the best observation up to each step.
-
-    The distance and ratio curves both key off this, so they always
-    refer to the same estimated maximiser.
-    """
-    return _running_argmax(np.array([r.value_pre for r in trace.rows]))
-
-
-def _running_argmax(values: np.ndarray) -> np.ndarray:
-    out = np.empty(len(values), dtype=int)
-    best = 0
-    for i, v in enumerate(values):
-        if v > values[best]:
-            best = i
-        out[i] = best
-    return out
 
 
 def true_maximum(snapshot: Snapshot) -> tuple[float, np.ndarray]:
@@ -126,8 +112,7 @@ def maximum_ratio_curve(traces: list[BoTrace], snapshots: list[Snapshot]) -> Met
             )
         if y_star < 0.0 and snap.id not in flagged:
             flagged.append(snap.id)
-        idx = best_so_far_indices(trace)
-        best = np.array([trace.rows[i].value_pre for i in idx])
+        best = np.array([r.best_so_far for r in trace.rows])
         per.setdefault(snap.id, []).append(best / y_star)
     return _aggregate(_mean_runs(per), flagged)
 
@@ -139,8 +124,7 @@ def maximiser_distance_curve(traces: list[BoTrace], snapshots: list[Snapshot]) -
     for trace in traces:
         snap = _require(by_id, trace.snapshot_id)
         _, x_star = true_maximum(snap)
-        idx = best_so_far_indices(trace)
-        locs = np.array([(trace.rows[i].x_km, trace.rows[i].y_km) for i in idx])
+        locs = np.array([(r.best_x_km, r.best_y_km) for r in trace.rows])
         per.setdefault(snap.id, []).append(np.linalg.norm(locs - x_star, axis=1))
     return _aggregate(_mean_runs(per), [])
 
@@ -159,10 +143,9 @@ def exploration_curve(traces: list[BoTrace]) -> MetricCurve:
                 f"trace for {trace.snapshot_id} has {len(locs)} rows; exploration "
                 "needs at least 2"
             )
-        scores = np.array([
-            float(np.linalg.norm(locs[i] - locs[:i], axis=1).min())
-            for i in range(1, len(locs))
-        ])
+        dist = np.linalg.norm(locs[:, None] - locs[None], axis=-1)
+        dist[np.triu_indices(len(locs))] = np.inf  # keep earlier samples only
+        scores = dist.min(axis=1)[1:]
         per.setdefault(trace.snapshot_id, []).append(scores)
     curve = _aggregate(_mean_runs(per), [])
     curve.iterations = curve.iterations + 1  # scores start at the second sample

@@ -8,6 +8,7 @@ import pytest
 
 from airbo.acquisition import (
     BoConfig,
+    _weighted_acquisition_batch,
     expected_improvement,
     log_importance_weights,
     run_bo,
@@ -29,6 +30,11 @@ def theta(s1=1.0, l1=1.0, s2=1.0, l2=4.0):
 
 def prior_of(thetas):
     return PriorSampleSet(samples=list(thetas), provenance={"kernel": "rbf_rbf"})
+
+
+#: 1e8 amplitudes on coincident points give a Gram matrix that is rank
+#: one at every jitter rung (as in test_factorization_failure_raises)
+BROKEN = theta(s1=1e8, s2=1e8)
 
 
 def mc_expected_improvement(mean, variance, f_best, n=200_000, seed=0):
@@ -103,6 +109,37 @@ class TestImportanceWeights:
         expected = np.exp(logs - np.max(logs))
         expected /= expected.sum()
         np.testing.assert_allclose(iw.weights, expected, atol=1e-12)
+
+    def weights_on_coincident_points(self, prior):
+        """Weights from both entry points, which must agree exactly."""
+        X, y = np.zeros((3, 2)), np.zeros(3)
+        iw = log_importance_weights(SPEC, prior, X, y)
+        _, batch = _weighted_acquisition_batch(SPEC, prior, X, y, np.array([[1.0, 0.0]]))
+        assert np.array_equal(iw.weights, batch.weights)
+        assert np.array_equal(iw.failed, batch.failed)
+        assert (iw.ess, iw.fallback_uniform) == (batch.ess, batch.fallback_uniform)
+        return iw
+
+    def test_failed_sample_gets_zero_weight(self):
+        iw = self.weights_on_coincident_points(prior_of([theta(), BROKEN, theta(l1=2.0)]))
+        np.testing.assert_array_equal(iw.failed, [False, True, False])
+        assert iw.weights[1] == 0.0
+        assert iw.weights.sum() == pytest.approx(1.0)
+        assert not iw.fallback_uniform
+
+    def test_all_failed_falls_back_to_uniform(self):
+        iw = self.weights_on_coincident_points(prior_of([BROKEN] * 4))
+        assert iw.failed.all() and iw.fallback_uniform
+        np.testing.assert_array_equal(iw.weights, np.full(4, 0.25))
+        assert iw.ess == 4.0
+
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_single_sample(self, broken):
+        iw = self.weights_on_coincident_points(prior_of([BROKEN if broken else theta()]))
+        assert iw.weights.tolist() == [1.0]
+        assert iw.ess == 1.0
+        assert iw.failed.tolist() == [broken]
+        assert iw.fallback_uniform is broken
 
 
 class TestWeightedAcquisition:
@@ -200,6 +237,16 @@ class TestRunBo:
         best = [r.best_so_far for r in trace.rows]
         assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
         assert len(set(trace.locations())) == len(trace.rows)
+
+    def test_all_failing_prior_flags_every_ei_iteration(self):
+        ds = self.make_problem()
+        # lengthscales this long make every pair of points look coincident
+        broken = theta(s1=1e8, l1=1e150, s2=1e8, l2=1e150)
+        config = BoConfig(n_init=3, n_iter=8, prior=prior_of([broken] * 3), seed=4)
+        trace = run_bo(ds.test[0], SPEC, config)
+        assert trace.flagged_iterations == [4, 5, 6, 7, 8]
+        assert [r.ess for r in trace.rows[3:]] == [3.0] * 5
+        assert len(set(trace.locations())) == len(trace.rows) == 8
 
     def test_too_few_candidates_rejected(self):
         ds = self.make_problem()

@@ -203,6 +203,33 @@ class TestExitCodes:
         assert "numerical" in result.output.lower()
 
 
+_HEADER = '{"record": "header", "kernel": "rbf_rbf"}\n'
+
+
+class TestMalformedArtifacts:
+    @pytest.mark.parametrize("verb,flag,text,where,message", [
+        ("correlation-curve", "--prior", '{"record": "header"}\n', 1, "'kernel'"),
+        ("correlation-curve", "--prior", _HEADER + '{"record": "sample"}\n', 2, "'values'"),
+        ("correlation-curve", "--theta", '{"kernel": "rbf_rbf"}', 1, "'values'"),
+        ("correlation-curve", "--theta", '{"kernel":\n', 2, "Expecting value"),
+        ("correlation-curve", "--theta", "5\n", 1, "expected a JSON object"),
+        ("evaluate", "--dataset",
+         '{"record": "stats"}\n{"record": "snapshot", "id": "a", "locations": [[0, 0]], '
+         '"mask": [true]}\n', 2, "'values_raw'"),
+    ], ids=["prior-header", "prior-sample", "theta-fields", "theta-json", "theta-scalar",
+         "dataset-snapshot"])
+    def test_bad_input_exits_2_naming_path_and_line(
+        self, workdir, verb, flag, text, where, message
+    ):
+        path = workdir / "artifact"
+        path.write_text(text)
+        extra = ["--traces", "traces"] if verb == "evaluate" else []
+        result = CliRunner().invoke(main, [verb, flag, str(path), *extra])
+        assert result.exit_code == 2, result.output
+        assert f"{path}:{where}: " in result.output
+        assert message in result.output
+
+
 class TestRunBaseline:
     def test_without_replacement_full_coverage_ends_at_one(self, workdir):
         cfg = prepare_pipeline(workdir, grid_size=3, n_iter=9, n_init=2, n_runs=5)

@@ -43,6 +43,21 @@ def theta_product(s1, l1, s2, l2, lw, gamma):
     )
 
 
+positive = st.floats(min_value=0.05, max_value=10.0, allow_nan=False)
+lengthscale = st.floats(min_value=0.1, max_value=300.0, allow_nan=False)
+angle = st.floats(min_value=0.0, max_value=math.pi - 1e-9, allow_nan=False)
+coord = st.floats(min_value=-200.0, max_value=200.0, allow_nan=False)
+
+
+@st.composite
+def random_theta(draw, spec):
+    values = {}
+    for slot in spec.sampled_slots:
+        values[slot.name] = draw(positive if slot.name.startswith("sigma") else lengthscale)
+    gamma = draw(angle) if spec.has_direction else None
+    return ThetaVector(values=values, gamma=gamma)
+
+
 class TestRbfEval:
     def test_zero_displacement_returns_amplitude_squared(self):
         assert rbf_eval((0, 0), 3, 1) == pytest.approx(9.0, abs=1e-12)
@@ -109,16 +124,32 @@ class TestCovarianceMatrix:
         K = covariance_matrix(RBF_RBF, theta_rbf_rbf(1, 1, 1, 1), [(0.0, 0.0)])
         np.testing.assert_allclose(K, [[2.0 + NOISE_VARIANCE]], rtol=0, atol=1e-15)
 
-    def test_exact_transpose_symmetry(self):
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), spec=st.sampled_from([RBF_RBF, SUM, RBF_PRODUCT]))
+    def test_exact_transpose_symmetry(self, data, spec):
+        # the Gram build does no triangle mirroring, so every family must
+        # come out exactly symmetric on its own
         rng = np.random.default_rng(5)
         X = rng.uniform(-10, 10, size=(12, 2))
-        for spec, theta in [
+        for fixed_spec, theta in [
             (RBF_RBF, theta_rbf_rbf(1.3, 2.0, 0.7, 9.0)),
             (SUM, theta_sum(1.1, 3.0, 0.9, 5.0, 1.1)),
             (RBF_PRODUCT, theta_product(1.0, 2.0, 1.2, 7.0, 4.0, 0.3)),
         ]:
-            K = covariance_matrix(spec, theta, X)
+            K = covariance_matrix(fixed_spec, theta, X)
             assert np.array_equal(K, K.T)
+        theta = data.draw(random_theta(spec))
+        points = np.array(data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=8)))
+        # near-duplicates of the drawn points, and a copy ~1e3 km away
+        # where the exps underflow to subnormals and zero
+        tiny = st.floats(min_value=-1e-9, max_value=1e-9, allow_nan=False)
+        nudge = np.array(data.draw(st.lists(st.tuples(tiny, tiny), min_size=len(points),
+                                            max_size=len(points))))
+        far = np.array(data.draw(st.tuples(st.floats(min_value=-1e3, max_value=1e3),
+                                           st.floats(min_value=900.0, max_value=1100.0))))
+        X = np.vstack([points, points + nudge, points + far])
+        K = covariance_matrix(spec, theta, X)
+        assert np.array_equal(K, K.T)
 
     def test_matches_double_loop_oracle(self):
         # independent scalar oracle: base kernels composed by hand per family
@@ -173,21 +204,6 @@ class TestCorrelationAtDistance:
     def test_negative_distance_rejected(self):
         with pytest.raises(InputError):
             correlation_at_distance(RBF_RBF, self.LONDON_MEAN, -1.0)
-
-
-positive = st.floats(min_value=0.05, max_value=10.0, allow_nan=False)
-lengthscale = st.floats(min_value=0.1, max_value=300.0, allow_nan=False)
-angle = st.floats(min_value=0.0, max_value=math.pi - 1e-9, allow_nan=False)
-coord = st.floats(min_value=-200.0, max_value=200.0, allow_nan=False)
-
-
-@st.composite
-def random_theta(draw, spec):
-    values = {}
-    for slot in spec.sampled_slots:
-        values[slot.name] = draw(positive if slot.name.startswith("sigma") else lengthscale)
-    gamma = draw(angle) if spec.has_direction else None
-    return ThetaVector(values=values, gamma=gamma)
 
 
 class TestInvariants:

@@ -14,6 +14,7 @@ from airbo.mcmc import (
     ChainSample,
     EtaParams,
     ProposalWidths,
+    diagnostics_csv,
     draw_prior_samples,
     eta_update,
     gamma_logpdf,
@@ -241,6 +242,38 @@ class TestRunChain:
                 assert t.noise_variance == NOISE_VARIANCE
             assert all(v > 0 for v in sample.eta.shapes.values())
             assert all(v > 0 for v in sample.eta.scales.values())
+
+    def test_diagnostics_csv_layout(self):
+        # per iteration: eta rows sorted by slot.which, then theta rows
+        # sorted by slot name; values and rates recomputed from the samples
+        tuning = make_tuning(n_snapshots=3, grid=5)
+        H, B, N = 5, 3, len(tuning)
+        result = run_chain(SUM, tuning, H=H, burn_in=1, B=B, seed=13)
+        text = diagnostics_csv(result)
+        assert "np." not in text
+        lines = text.splitlines()
+        assert lines[0] == "iteration,slot,acceptance_rate,value"
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == H * 13
+        sampled = [s.name for s in SUM.sampled_slots]
+        eta_names = sorted(f"eta.{s}.{w}" for s in sampled for w in ("shape", "scale"))
+        theta_names = sorted([*sampled, "gamma"])
+        theta_accepted = dict.fromkeys(theta_names, 0.0)
+        for h, sample in enumerate(result.samples):
+            block = rows[13 * h : 13 * (h + 1)]
+            assert [r[0] for r in block] == [str(h + 1)] * 13
+            assert [r[1] for r in block] == eta_names + theta_names
+            for _, name, rate, value in block[:8]:
+                _, slot, which = name.split(".")
+                expected = sample.eta.shapes if which == "shape" else sample.eta.scales
+                assert float(value) == expected[slot]
+                assert float(rate) in {k / B for k in range(B + 1)}
+            for _, slot, rate, value in block[8:]:
+                assert float(value) == float(np.mean([t.slot(slot) for t in sample.theta_all]))
+                assert float(rate) in {k / N for k in range(N + 1)}
+                theta_accepted[slot] += float(rate) * N
+        for slot, count in theta_accepted.items():
+            assert result.theta_acceptance[slot] == pytest.approx(count / (H * N), abs=1e-12)
 
     def test_preconditions(self):
         tuning = make_tuning(n_snapshots=1)

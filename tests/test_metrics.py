@@ -10,7 +10,6 @@ from airbo.baselines import BaselineKind, BaselinePolicy, run_baseline
 from airbo.data import Snapshot
 from airbo.errors import DegenerateSnapshotError, InputError
 from airbo.metrics import (
-    best_so_far_indices,
     exploration_curve,
     maximiser_distance_curve,
     maximum_ratio_curve,
@@ -114,12 +113,16 @@ class TestMaximiserDistanceCurve:
     def test_distance_and_ratio_use_same_best_indices(self):
         snap = snapshot("a", [0.5, 2.0, 1.0], [(0, 0), (3, 0), (7, 0)])
         trace = trace_for(snap, [0, 1, 2])
-        idx = best_so_far_indices(trace)
-        np.testing.assert_array_equal(idx, [0, 1, 1])
+        # both curves read the rows' running best, which sits on row 0, 1, 1
+        assert [r.best_so_far for r in trace.rows] == [0.5, 2.0, 2.0]
+        assert [(r.best_x_km, r.best_y_km) for r in trace.rows] == [(0, 0), (3, 0), (3, 0)]
         ratio = maximum_ratio_curve([trace], [snap])
         dist = maximiser_distance_curve([trace], [snap])
         np.testing.assert_allclose(ratio.mean, [0.25, 1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(dist.mean, [3.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_array_equal(
+            ratio.mean, [r.best_so_far / 2.0 for r in trace.rows]  # true maximum 2.0
+        )
 
 
 class TestExplorationCurve:
@@ -134,6 +137,25 @@ class TestExplorationCurve:
         # third sample: 2 km from first, 3 km from second -> min is 2
         curve = exploration_curve([trace_for(snap, [0, 1, 2])])
         np.testing.assert_allclose(curve.mean, [5.0, 2.0], atol=1e-12)
+
+    @pytest.mark.parametrize("kind", list(BaselineKind))
+    def test_matches_per_row_norm_loop(self, kind):
+        # one masked pairwise-distance matrix must give the bytes of the
+        # per-row loop; with replacement, traces revisit locations (score 0)
+        rng = np.random.default_rng(3)
+        locs = [(float(x), float(y)) for y in range(5) for x in range(5)]
+        snap = snapshot("g", rng.normal(size=25), locs)
+        traces = run_baseline(snap, BaselinePolicy(kind, n_runs=20, seed=7), n_iter=25)
+        expected = []
+        for t in traces:
+            xy = np.array(t.locations())
+            expected.append([
+                float(np.linalg.norm(xy[i] - xy[:i], axis=1).min()) for i in range(1, len(xy))
+            ])
+        curve = exploration_curve(traces)
+        np.testing.assert_array_equal(curve.mean, np.vstack(expected).mean(axis=0))
+        if kind is BaselineKind.WITH_REPLACEMENT:
+            assert min(min(row) for row in expected) == 0.0
 
     def test_without_replacement_trend_is_downward(self):
         rng = np.random.default_rng(0)
