@@ -18,8 +18,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .data import Snapshot
-from .errors import InputError, NumericalError
-from .gp import GpSolve, Posterior
+from .errors import InputError
+from .gp import GpBatch, Posterior
 from .kernels import NOISE_VARIANCE, KernelSpec
 from .mcmc import PriorSampleSet
 from .rng import stream
@@ -114,50 +114,43 @@ def log_importance_weights(
     likelihood evaluation fails get weight zero; if every sample fails
     the weights fall back to uniform and the result is flagged.
     """
-    if len(observed_values) < 1:
-        raise InputError("importance weights need at least one observation")
-    return _weighted_acquisition_batch(
-        spec, prior, observed_locations, observed_values, np.empty((0, 2))
-    )[1]
+    return _one_shot(spec, prior, observed_locations, observed_values, np.empty((0, 2)))[1]
 
 
 def weighted_acquisition(
     spec: KernelSpec, prior: PriorSampleSet, observed_locations, observed_values, x_star
 ) -> float:
     """Importance-weighted EI at a single candidate point."""
-    acq = _weighted_acquisition_batch(
+    acq = _one_shot(
         spec, prior, observed_locations, observed_values,
         np.asarray(x_star, dtype=float).reshape(1, 2),
     )[0]
     return float(acq[0])
 
 
-def _weighted_acquisition_batch(
-    spec: KernelSpec,
-    prior: PriorSampleSet,
-    observed_locations,
-    observed_values,
-    X_star: np.ndarray,
-):
-    """Weighted EI over a batch of candidates, sharing one GP solve per
-    prior sample between the weight and the posterior."""
-    observed_locations = np.asarray(observed_locations, dtype=float)
-    observed_values = np.asarray(observed_values, dtype=float)
-    f_best = float(observed_values.max())
-    M = len(prior)
-    logs = np.full(M, -math.inf)
-    failed = np.zeros(M, dtype=bool)
-    ei = np.zeros((M, len(X_star)))
-    for i, theta in enumerate(prior.samples):
-        try:
-            solve = GpSolve(spec, theta, observed_locations, observed_values)
-            logs[i] = solve.loglik
-            means, variances = solve.posterior(X_star)
-        except NumericalError:
-            failed[i] = True
-            continue
-        ei[i] = _ei_batch(means, variances, f_best)
-    iw = _normalise_weights(logs, failed)
+def _one_shot(spec: KernelSpec, prior: PriorSampleSet, observed_locations, observed_values,
+              X_star: np.ndarray):
+    """Weighted EI at ``X_star`` from a batch whose columns are the
+    observed locations followed by ``X_star``."""
+    X = np.asarray(observed_locations, dtype=float)
+    y = np.asarray(observed_values, dtype=float)
+    if X.ndim != 2 or X.shape[0] < 1:
+        raise InputError(f"need at least one observation, got shape {X.shape}")
+    if y.shape != (X.shape[0],):
+        raise InputError(f"values shape {y.shape} does not match {X.shape[0]} locations")
+    gp = GpBatch(spec, prior.samples, np.vstack([X, X_star]), len(y))
+    for col, value in enumerate(y):
+        gp.add(col, value)
+    return _weighted_acquisition_batch(gp, np.arange(len(y), len(gp.cols)))
+
+
+def _weighted_acquisition_batch(gp: GpBatch, open_cols):
+    """Weighted EI at the columns ``open_cols`` of ``gp`` (an index or
+    boolean mask), with the importance weights it used."""
+    failed = gp.failed.copy()
+    iw = _normalise_weights(gp.loglik, failed)
+    means, variances = gp.posterior(open_cols)
+    ei = _ei_batch(means, variances, float(gp.y[: gp.n].max()))
     acq = iw.weights @ np.where(failed[:, None], 0.0, ei)
     return acq, iw
 
@@ -181,27 +174,26 @@ def run_bo(snapshot: Snapshot, spec: KernelSpec, config: BoConfig) -> BoTrace:
         )
     rng = stream(config.seed, "bo-init", snapshot.id)
     trace = BoTrace(snapshot_id=snapshot.id)
-    visited: list[int] = []
+    gp = GpBatch(spec, config.prior.samples, snapshot.locations[candidates], config.n_iter)
+    open_cols = np.ones(len(candidates), dtype=bool)
 
-    def observe(idx: int, iteration: int, ess: float = math.nan) -> None:
-        visited.append(idx)
+    def observe(col: int, iteration: int, ess: float = math.nan) -> None:
+        open_cols[col] = False
+        idx = candidates[col]
+        gp.add(col, snapshot.values_pre[idx])
         x, y = snapshot.locations[idx]
         trace.append_observation(
             iteration, float(x), float(y),
             float(snapshot.values_raw[idx]), float(snapshot.values_pre[idx]), ess,
         )
 
-    for i, idx in enumerate(rng.choice(candidates, size=config.n_init, replace=False)):
-        observe(int(idx), i + 1)
+    # positions into ``candidates``: the same draws as choosing from it
+    for i, col in enumerate(rng.choice(len(candidates), size=config.n_init, replace=False)):
+        observe(int(col), i + 1)
 
     for iteration in range(config.n_init + 1, config.n_iter + 1):
-        seen = set(visited)
-        open_idx = np.array([c for c in candidates if c not in seen])
-        X_star = snapshot.locations[open_idx]
-        X_obs = snapshot.locations[visited]
-        y_obs = snapshot.values_pre[visited]
-        acq, iw = _weighted_acquisition_batch(spec, config.prior, X_obs, y_obs, X_star)
+        acq, iw = _weighted_acquisition_batch(gp, open_cols)
         if iw.fallback_uniform:
             trace.flagged_iterations.append(iteration)
-        observe(int(open_idx[int(np.argmax(acq))]), iteration, ess=iw.ess)
+        observe(int(np.flatnonzero(open_cols)[np.argmax(acq)]), iteration, ess=iw.ess)
     return trace

@@ -289,8 +289,15 @@ def _load_trace_dir(trace_dir: Path) -> tuple[str, list[BoTrace]]:
     manifest_path = trace_dir / "manifest.json"
     traces = []
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{manifest_path}: {exc}") from exc
+        require_fields(manifest, ("traces",), str(manifest_path))
+        if not isinstance(manifest["traces"], list):
+            raise ParseError(f"{manifest_path}: 'traces' must be a list")
         for entry in manifest["traces"]:
+            require_fields(entry, ("file", "snapshot_id"), str(manifest_path))
             traces.append(load_trace(trace_dir / entry["file"], entry["snapshot_id"]))
         label = manifest.get("method", trace_dir.name)
     else:

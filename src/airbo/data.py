@@ -445,6 +445,7 @@ def load_dataset(path) -> Dataset:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            require_fields(rec, (), f"{path}:{lineno}")
             kind = rec.get("record")
             if kind == "stats":
                 stats = rec

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -155,6 +155,11 @@ class ThetaVector:
         if self.noise_variance != NOISE_VARIANCE:
             raise InputError(f"noise variance is clamped to {NOISE_VARIANCE}")
 
+    @property
+    def direction(self) -> tuple[float, float]:
+        """``(sin gamma, cos gamma)`` of the reference angle."""
+        return math.sin(self.gamma), math.cos(self.gamma)
+
     def with_value(self, name: str, value: float) -> "ThetaVector":
         if name == "gamma":
             return replace(self, gamma=value)
@@ -168,6 +173,29 @@ class ThetaVector:
                 raise InputError("theta has no gamma slot")
             return self.gamma
         return self.values[name]
+
+
+@dataclass(frozen=True)
+class ThetaBatch:
+    """Thetas of one spec, validated once, with every slot stacked as an
+    ``(M, 1)`` column so that one kernel evaluation broadcasts over the
+    M samples."""
+
+    values: dict[str, np.ndarray]
+    direction: tuple[np.ndarray, np.ndarray] | None
+
+    @classmethod
+    def stack(cls, spec: KernelSpec, thetas: Sequence[ThetaVector]) -> "ThetaBatch":
+        for theta in thetas:
+            theta.validate(spec)
+        values = {
+            s.name: np.array([[t.values[s.name]] for t in thetas]) for s in spec.sampled_slots
+        }
+        direction = None
+        if spec.has_direction:
+            sin_cos = np.array([t.direction for t in thetas])
+            direction = (sin_cos[:, :1], sin_cos[:, 1:])
+        return cls(values, direction)
 
 
 def _check_positive(**params: float) -> None:
@@ -200,17 +228,18 @@ def directed_eval(tau, sigma: float, l: float, gamma: float) -> float:
     return float(sigma * sigma * math.exp(-(proj * proj) / (l * l)))
 
 
-def _composite_terms(spec: KernelSpec, theta: ThetaVector, d2, tx, ty):
+def _composite_terms(spec: KernelSpec, theta: ThetaVector | ThetaBatch, d2, tx, ty):
     """Composite kernel on precomputed displacement components.
 
     ``d2 = tx**2 + ty**2`` is passed in so callers can cache it. Works
-    elementwise on arrays of any shape.
+    elementwise on arrays of any shape; a :class:`ThetaBatch` broadcasts
+    its ``(M, 1)`` slots against them.
     """
     v = theta.values
     first = v["sigma_r1"] ** 2 * np.exp(-d2 / v["l_r1"] ** 2)
     if spec.family is KernelFamily.RBF_RBF:
         return first + v["sigma_r2"] ** 2 * np.exp(-d2 / v["l_r2"] ** 2)
-    sin_g, cos_g = math.sin(theta.gamma), math.cos(theta.gamma)
+    sin_g, cos_g = theta.direction
     proj = sin_g * tx - cos_g * ty
     if spec.family is KernelFamily.SUM:
         return first + v["sigma_w2"] ** 2 * np.exp(-(proj * proj) / v["l_w2"] ** 2)

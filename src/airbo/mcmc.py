@@ -430,6 +430,7 @@ def load_prior(path, expected_spec: KernelSpec | None = None) -> PriorSampleSet:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            require_fields(rec, (), f"{path}:{lineno}")
             if rec.get("record") == "header":
                 require_fields(rec, ("kernel",), f"{path}:{lineno}")
                 provenance = {k: v for k, v in rec.items() if k != "record"}

@@ -213,11 +213,14 @@ class TestMalformedArtifacts:
         ("correlation-curve", "--theta", '{"kernel": "rbf_rbf"}', 1, "'values'"),
         ("correlation-curve", "--theta", '{"kernel":\n', 2, "Expecting value"),
         ("correlation-curve", "--theta", "5\n", 1, "expected a JSON object"),
+        ("correlation-curve", "--prior", _HEADER + "5\n", 2, "expected a JSON object"),
+        ("correlation-curve", "--prior", '["header"]\n', 1, "expected a JSON object"),
         ("evaluate", "--dataset",
          '{"record": "stats"}\n{"record": "snapshot", "id": "a", "locations": [[0, 0]], '
          '"mask": [true]}\n', 2, "'values_raw'"),
+        ("evaluate", "--dataset", '{"record": "stats"}\n5\n', 2, "expected a JSON object"),
     ], ids=["prior-header", "prior-sample", "theta-fields", "theta-json", "theta-scalar",
-         "dataset-snapshot"])
+         "prior-scalar", "prior-list", "dataset-snapshot", "dataset-scalar"])
     def test_bad_input_exits_2_naming_path_and_line(
         self, workdir, verb, flag, text, where, message
     ):
@@ -227,6 +230,27 @@ class TestMalformedArtifacts:
         result = CliRunner().invoke(main, [verb, flag, str(path), *extra])
         assert result.exit_code == 2, result.output
         assert f"{path}:{where}: " in result.output
+        assert message in result.output
+
+
+    @pytest.mark.parametrize("manifest,message", [
+        ('{"method": "bo"', "Expecting"),
+        ('{"method": "bo"}', "'traces'"),
+        ('{"traces": 5}', "'traces' must be a list"),
+        ('{"traces": [{"snapshot_id": "perfect"}]}', "'file'"),
+        ('{"traces": [{"file": "trace_perfect.csv"}]}', "'snapshot_id'"),
+        ('{"traces": ["trace_perfect.csv"]}', "expected a JSON object"),
+    ], ids=["json", "traces", "traces-type", "file", "snapshot-id", "entry-scalar"])
+    def test_bad_trace_manifest_exits_2_naming_it(self, workdir, manifest, message):
+        perfect_dataset_and_trace(workdir)
+        path = workdir / "traces" / "manifest.json"
+        path.write_text(manifest)
+        result = CliRunner().invoke(main, [
+            "evaluate", "--dataset", str(workdir / "ds.jsonl"), "--traces",
+            str(workdir / "traces"), "--out", str(workdir / "eval"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert f"{path}: " in result.output
         assert message in result.output
 
 
