@@ -4,7 +4,17 @@ Workflow: ingest (or synthesise) pollution snapshots, pre-train gamma
 hyperpriors over GP hyperparameters on a tuning set by MCMC, then place
 sensors on unseen snapshots with importance-weighted expected
 improvement, and score against random baselines.
+
+BLAS runs on one thread unless the environment says otherwise: the bits
+of a Cholesky factor or a matrix product depend on the thread count, and
+every output is meant to be a pure function of its inputs. This must run
+before numpy is first imported.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .acquisition import (
     BoConfig,
@@ -39,7 +49,6 @@ from .kernels import (
     rbf_eval,
 )
 from .mcmc import (
-    EtaParams,
     PriorSampleSet,
     ProposalWidths,
     draw_prior_samples,
@@ -65,7 +74,6 @@ __all__ = [
     "BoConfig",
     "BoTrace",
     "Dataset",
-    "EtaParams",
     "KernelFamily",
     "KernelSpec",
     "MetricCurve",

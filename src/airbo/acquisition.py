@@ -60,13 +60,7 @@ def expected_improvement(post: Posterior, f_best: float) -> float:
     """
     if post.variance < 0:
         raise InputError(f"variance must be >= 0, got {post.variance}")
-    delta = post.mean - f_best
-    if post.variance <= _VARIANCE_FLOOR:
-        return max(0.0, delta)
-    sigma = math.sqrt(post.variance)
-    z = delta / sigma
-    phi = math.exp(-0.5 * z * z) / _SQRT_2PI
-    return max(0.0, delta * float(ndtr(z)) + sigma * phi)
+    return float(_ei_batch(np.array([post.mean]), np.array([post.variance]), f_best)[0])
 
 
 def _ei_batch(means: np.ndarray, variances: np.ndarray, f_best: float) -> np.ndarray:

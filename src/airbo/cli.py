@@ -424,7 +424,10 @@ def cmd_correlation_curve(prior_path, theta_path, d_max, n_points, out_dir):
         require_fields(rec, ("kernel", "values"), f"{path}:1")
         spec = get_spec(rec["kernel"])
         theta = ThetaVector(values=rec["values"], gamma=rec.get("gamma"))
-        theta.validate(spec)
+        try:
+            theta.validate(spec)
+        except InputError as exc:
+            raise ParseError(f"{path}:1: {exc}") from exc
     header = "d_km,correlation"
     if spec.has_direction:
         header += ",correlation_cross_wind"

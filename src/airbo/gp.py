@@ -24,9 +24,9 @@ from .kernels import (
     NOISE_VARIANCE,
     CovarianceBuilder,
     KernelSpec,
-    ThetaBatch,
     ThetaVector,
     _composite_terms,
+    _kernel_args,
     cross_covariance,
 )
 
@@ -90,7 +90,7 @@ class GpSolve:
         K = CovarianceBuilder(spec, X).gram(theta, include_noise=True)
         self._L, self._alpha, self.loglik = _factorise(K, y)
         self._k0 = float(
-            _composite_terms(spec, theta, 0.0, 0.0, 0.0)
+            _composite_terms(spec, _kernel_args(spec, theta), 0.0, 0.0, 0.0)
         )  # prior variance at zero lag
 
     def posterior(self, X_star) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +135,7 @@ class CachedMarginal:
                 f"values shape {self._y.shape} does not match {self._builder.n} locations"
             )
 
-    def __call__(self, theta: ThetaVector) -> float:
+    def __call__(self, theta: ThetaVector | np.ndarray) -> float:
         return _factorise(self._builder.gram(theta, include_noise=True), self._y)[2]
 
 
@@ -162,10 +162,10 @@ class GpBatch:
 
     def __init__(self, spec: KernelSpec, thetas, cols, n_max: int) -> None:
         self.spec = spec
-        self.thetas = list(thetas)
-        self.theta = ThetaBatch.stack(spec, self.thetas)
+        self.theta = np.array([spec.pack(t) for t in thetas])  # (M, p)
+        self._args = _kernel_args(spec, self.theta)
         self.cols = np.asarray(cols, dtype=float).reshape(-1, 2)
-        M, C = len(self.thetas), len(self.cols)
+        M, C = len(self.theta), len(self.cols)
         self.n = 0
         self.obs = np.zeros(n_max, dtype=int)
         self.y = np.zeros(n_max)
@@ -175,14 +175,14 @@ class GpBatch:
         self.explained = np.zeros((M, C))
         self.loglik = np.zeros(M)
         self.failed = np.zeros(M, dtype=bool)
-        self.k0 = _composite_terms(spec, self.theta, 0.0, 0.0, 0.0)  # (M, 1)
+        self.k0 = _composite_terms(spec, self._args, 0.0, 0.0, 0.0)  # (M, 1)
 
     def add(self, col: int, value: float) -> None:
         """Observe ``value`` at column ``col``."""
         n = self.n
         tx = self.cols[col, 0] - self.cols[:, 0]
         ty = self.cols[col, 1] - self.cols[:, 1]
-        k = _composite_terms(self.spec, self.theta, tx * tx + ty * ty, tx, ty)
+        k = _composite_terms(self.spec, self._args, tx * tx + ty * ty, tx, ty)
         V, z = self.V[:, :n], self.z[:, :n]
         l = V[:, :, col]
         diag = k[:, col] + NOISE_VARIANCE
@@ -201,7 +201,7 @@ class GpBatch:
             self._refactorise(i)
 
     def _refactorise(self, i: int) -> None:
-        n, theta = self.n, self.thetas[i]
+        n, theta = self.n, self.theta[i]
         X, y = self.cols[self.obs[:n]], self.y[:n]
         try:
             L = _stable_cholesky(CovarianceBuilder(self.spec, X).gram(theta))

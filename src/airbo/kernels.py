@@ -24,7 +24,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Mapping
 
 import numpy as np
 
@@ -96,20 +97,37 @@ class KernelSpec:
     def slot_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.slots)
 
-    @property
+    @cached_property
     def sampled_slots(self) -> tuple[Slot, ...]:
         """Slots with a gamma hyperprior (amplitudes and lengthscales)."""
         return tuple(
             s for s in self.slots if s.kind in (SlotKind.AMPLITUDE, SlotKind.LENGTHSCALE)
         )
 
-    @property
+    @cached_property
     def has_direction(self) -> bool:
         return any(s.kind is SlotKind.DIRECTION for s in self.slots)
 
     @property
     def n_hyperparameters(self) -> int:
         return len(self.slots)
+
+    @cached_property
+    def layout(self) -> tuple[str, ...]:
+        """Entry names of a packed theta: the sampled slots in order, then
+        ``gamma`` for the directed families. Noise is clamped, not packed."""
+        names = tuple(s.name for s in self.sampled_slots)
+        return names + ("gamma",) if self.has_direction else names
+
+    def pack(self, theta: "ThetaVector") -> np.ndarray:
+        """Validate ``theta`` and lay it out as a float array in :attr:`layout` order."""
+        theta.validate(self)
+        return np.array([theta.slot(name) for name in self.layout], dtype=float)
+
+    def unpack(self, t) -> "ThetaVector":
+        """The :class:`ThetaVector` of a packed theta."""
+        values = {s.name: float(v) for s, v in zip(self.sampled_slots, t)}
+        return ThetaVector(values, float(t[-1]) if self.has_direction else None)
 
 
 def get_spec(family: KernelFamily | str) -> KernelSpec:
@@ -139,6 +157,8 @@ class ThetaVector:
     noise_variance: float = NOISE_VARIANCE
 
     def validate(self, spec: KernelSpec) -> None:
+        if not isinstance(self.values, Mapping):
+            raise InputError(f"theta values must be a mapping, got {self.values!r}")
         expected = {s.name for s in spec.sampled_slots}
         got = set(self.values)
         if got != expected:
@@ -148,17 +168,12 @@ class ThetaVector:
             )
         _check_positive(**self.values)
         if spec.has_direction:
-            if self.gamma is None or not (0.0 <= self.gamma < math.pi):
+            if not _is_real(self.gamma) or not (0.0 <= self.gamma < math.pi):
                 raise InputError(f"gamma={self.gamma!r} must lie in [0, pi)")
         elif self.gamma is not None:
             raise InputError(f"{spec.family.value} takes no direction angle")
         if self.noise_variance != NOISE_VARIANCE:
             raise InputError(f"noise variance is clamped to {NOISE_VARIANCE}")
-
-    @property
-    def direction(self) -> tuple[float, float]:
-        """``(sin gamma, cos gamma)`` of the reference angle."""
-        return math.sin(self.gamma), math.cos(self.gamma)
 
     def with_value(self, name: str, value: float) -> "ThetaVector":
         if name == "gamma":
@@ -175,32 +190,14 @@ class ThetaVector:
         return self.values[name]
 
 
-@dataclass(frozen=True)
-class ThetaBatch:
-    """Thetas of one spec, validated once, with every slot stacked as an
-    ``(M, 1)`` column so that one kernel evaluation broadcasts over the
-    M samples."""
-
-    values: dict[str, np.ndarray]
-    direction: tuple[np.ndarray, np.ndarray] | None
-
-    @classmethod
-    def stack(cls, spec: KernelSpec, thetas: Sequence[ThetaVector]) -> "ThetaBatch":
-        for theta in thetas:
-            theta.validate(spec)
-        values = {
-            s.name: np.array([[t.values[s.name]] for t in thetas]) for s in spec.sampled_slots
-        }
-        direction = None
-        if spec.has_direction:
-            sin_cos = np.array([t.direction for t in thetas])
-            direction = (sin_cos[:, :1], sin_cos[:, 1:])
-        return cls(values, direction)
+def _is_real(v) -> bool:
+    """A real number; JSON booleans, strings and null are not."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
 
 def _check_positive(**params: float) -> None:
     for name, v in params.items():
-        if not (v > 0) or not math.isfinite(v):
+        if not _is_real(v) or not (v > 0) or not math.isfinite(v):
             raise InputError(f"hyperparameter {name}={v!r} must be finite and > 0")
 
 
@@ -228,32 +225,43 @@ def directed_eval(tau, sigma: float, l: float, gamma: float) -> float:
     return float(sigma * sigma * math.exp(-(proj * proj) / (l * l)))
 
 
-def _composite_terms(spec: KernelSpec, theta: ThetaVector | ThetaBatch, d2, tx, ty):
+def _kernel_args(spec: KernelSpec, theta) -> list:
+    """Inputs of :func:`_composite_terms`: the entries of a packed theta
+    ``(p,)`` as floats, or of a stack ``(M, p)`` as ``(M, 1)`` columns, with
+    ``gamma`` replaced by its sine and cosine. A :class:`ThetaVector` is
+    validated and packed first."""
+    t = spec.pack(theta) if isinstance(theta, ThetaVector) else theta
+    v = list(t.T[..., None]) if t.ndim == 2 else t.tolist()
+    if spec.has_direction:
+        gamma = v.pop()
+        v += [np.sin(gamma), np.cos(gamma)]
+    return v
+
+
+def _composite_terms(spec: KernelSpec, v: list, d2, tx, ty):
     """Composite kernel on precomputed displacement components.
 
     ``d2 = tx**2 + ty**2`` is passed in so callers can cache it. Works
-    elementwise on arrays of any shape; a :class:`ThetaBatch` broadcasts
-    its ``(M, 1)`` slots against them.
+    elementwise on arrays of any shape; ``v`` comes from
+    :func:`_kernel_args`, and a stack's ``(M, 1)`` columns broadcast
+    against the displacements.
     """
-    v = theta.values
-    first = v["sigma_r1"] ** 2 * np.exp(-d2 / v["l_r1"] ** 2)
+    first = v[0] ** 2 * np.exp(-d2 / v[1] ** 2)
     if spec.family is KernelFamily.RBF_RBF:
-        return first + v["sigma_r2"] ** 2 * np.exp(-d2 / v["l_r2"] ** 2)
-    sin_g, cos_g = theta.direction
-    proj = sin_g * tx - cos_g * ty
+        return first + v[2] ** 2 * np.exp(-d2 / v[3] ** 2)
+    proj = v[-2] * tx - v[-1] * ty
     if spec.family is KernelFamily.SUM:
-        return first + v["sigma_w2"] ** 2 * np.exp(-(proj * proj) / v["l_w2"] ** 2)
+        return first + v[2] ** 2 * np.exp(-(proj * proj) / v[3] ** 2)
     # rbf_product: directed factor amplitude fixed to 1
-    second = v["sigma_r2"] ** 2 * np.exp(-d2 / v["l_r2"] ** 2)
-    return first + second * np.exp(-(proj * proj) / v["l_w3"] ** 2)
+    second = v[2] ** 2 * np.exp(-d2 / v[3] ** 2)
+    return first + second * np.exp(-(proj * proj) / v[4] ** 2)
 
 
-def composite_eval(spec: KernelSpec, theta: ThetaVector, tau) -> float:
+def composite_eval(spec: KernelSpec, theta, tau) -> float:
     """Evaluate the composite covariance at a single displacement."""
-    theta.validate(spec)
     tau = np.asarray(tau, dtype=float)
     tx, ty = float(tau[0]), float(tau[1])
-    return float(_composite_terms(spec, theta, tx * tx + ty * ty, tx, ty))
+    return float(_composite_terms(spec, _kernel_args(spec, theta), tx * tx + ty * ty, tx, ty))
 
 
 class CovarianceBuilder:
@@ -274,31 +282,29 @@ class CovarianceBuilder:
         self._ty = X[:, None, 1] - X[None, :, 1]
         self._d2 = self._tx**2 + self._ty**2
 
-    def gram(self, theta: ThetaVector, include_noise: bool = True) -> np.ndarray:
-        theta.validate(self.spec)
+    def gram(self, theta, include_noise: bool = True) -> np.ndarray:
+        """Gram matrix under a :class:`ThetaVector` or a packed theta."""
         # exactly symmetric: tx and ty negate exactly under transposition,
         # and every family sees them only through d2 or a squared projection
-        K = _composite_terms(self.spec, theta, self._d2, self._tx, self._ty)
+        v = _kernel_args(self.spec, theta)
+        K = _composite_terms(self.spec, v, self._d2, self._tx, self._ty)
         if include_noise:
-            K[np.diag_indices_from(K)] += theta.noise_variance
+            K[np.diag_indices_from(K)] += NOISE_VARIANCE
         return K
 
 
-def covariance_matrix(
-    spec: KernelSpec, theta: ThetaVector, X, include_noise: bool = True
-) -> np.ndarray:
+def covariance_matrix(spec: KernelSpec, theta, X, include_noise: bool = True) -> np.ndarray:
     """Symmetric covariance matrix of a point set, optionally + noise."""
     return CovarianceBuilder(spec, X).gram(theta, include_noise)
 
 
-def cross_covariance(spec: KernelSpec, theta: ThetaVector, X1, X2) -> np.ndarray:
+def cross_covariance(spec: KernelSpec, theta, X1, X2) -> np.ndarray:
     """Covariance between two point sets, shape (n1, n2), noise-free."""
-    theta.validate(spec)
     X1 = np.atleast_2d(np.asarray(X1, dtype=float))
     X2 = np.atleast_2d(np.asarray(X2, dtype=float))
     tx = X1[:, None, 0] - X2[None, :, 0]
     ty = X1[:, None, 1] - X2[None, :, 1]
-    return _composite_terms(spec, theta, tx**2 + ty**2, tx, ty)
+    return _composite_terms(spec, _kernel_args(spec, theta), tx**2 + ty**2, tx, ty)
 
 
 def correlation_at_distance(

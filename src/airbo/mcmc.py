@@ -46,45 +46,29 @@ class ProposalWidths:
     shape_amplitude: float = 0.3
     scale_amplitude: float = 0.1
 
-    def get(self, kind: SlotKind, which: str) -> float:
-        if kind is SlotKind.LENGTHSCALE:
-            return self.shape_lengthscale if which == "shape" else self.scale_lengthscale
-        if kind is SlotKind.AMPLITUDE:
-            return self.shape_amplitude if which == "shape" else self.scale_amplitude
-        raise InputError(f"slot kind {kind} has no proposal width")
-
-
-@dataclass
-class EtaParams:
-    """Gamma shape/scale per sampled hyperparameter slot."""
-
-    shapes: dict[str, float]
-    scales: dict[str, float]
-
-    @classmethod
-    def ones(cls, spec: KernelSpec) -> "EtaParams":
-        names = [s.name for s in spec.sampled_slots]
-        return cls(shapes={n: 1.0 for n in names}, scales={n: 1.0 for n in names})
-
-    def copy(self) -> "EtaParams":
-        return EtaParams(shapes=dict(self.shapes), scales=dict(self.scales))
-
-    def validate(self) -> None:
-        for name in self.shapes:
-            if not (self.shapes[name] > 0 and self.scales[name] > 0):
-                raise InputError(
-                    f"eta for slot {name} must be positive, got "
-                    f"shape={self.shapes[name]!r} scale={self.scales[name]!r}"
-                )
+    def array(self, spec: KernelSpec) -> np.ndarray:
+        """``(S, 2)`` shape and scale widths of the spec's sampled slots."""
+        by_kind = {
+            SlotKind.AMPLITUDE: (self.shape_amplitude, self.scale_amplitude),
+            SlotKind.LENGTHSCALE: (self.shape_lengthscale, self.scale_lengthscale),
+        }
+        return np.array([by_kind[s.kind] for s in spec.sampled_slots])
 
 
 @dataclass
 class ChainSample:
-    """Joint state stored after one chain iteration."""
+    """Joint state stored after one chain iteration: ``eta`` is ``(S, 2)``
+    gamma shapes and scales of the sampled slots, ``theta`` the ``(N, p)``
+    packed thetas of the N snapshots (see :attr:`KernelSpec.layout`)."""
 
     iteration: int
-    eta: EtaParams
-    theta_all: tuple[ThetaVector, ...]
+    spec: KernelSpec
+    eta: np.ndarray
+    theta: np.ndarray
+
+    @property
+    def theta_all(self) -> tuple[ThetaVector, ...]:
+        return tuple(self.spec.unpack(t) for t in self.theta)
 
 
 @dataclass
@@ -112,13 +96,13 @@ def _draw_gamma(rng: np.random.Generator, shape: float, scale: float) -> float:
 
 
 def sample_theta_from_eta(
-    spec: KernelSpec, eta: EtaParams, rng: np.random.Generator
-) -> ThetaVector:
-    """One theta draw from the prior implied by eta."""
-    values = {name: _draw_gamma(rng, eta.shapes[name], eta.scales[name]) for name in
-              (s.name for s in spec.sampled_slots)}
-    gamma_angle = float(rng.uniform(0.0, math.pi)) if spec.has_direction else None
-    return ThetaVector(values=values, gamma=gamma_angle, noise_variance=NOISE_VARIANCE)
+    spec: KernelSpec, eta: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """One packed theta drawn from the prior implied by eta."""
+    values = [_draw_gamma(rng, shape, scale) for shape, scale in eta.tolist()]
+    if spec.has_direction:
+        values.append(float(rng.uniform(0.0, math.pi)))
+    return np.array(values)
 
 
 def _mh_accept(log_ratio: float, rng: np.random.Generator) -> bool:
@@ -130,89 +114,69 @@ def _mh_accept(log_ratio: float, rng: np.random.Generator) -> bool:
     return u == 0.0 or math.log(u) < log_ratio
 
 
-@dataclass
-class ThetaUpdate:
-    value: float
-    accepted: bool
-    loglik: float
-    failed: bool = False
-
-
 def theta_update(
-    spec: KernelSpec,
-    theta: ThetaVector,
-    slot: str,
-    eta: EtaParams,
-    loglik: Callable[[ThetaVector], float],
+    theta: np.ndarray,
+    j: int,
+    eta: np.ndarray,
+    loglik: Callable[[np.ndarray], float],
     rngs: ChainRngs,
-    cur_loglik: float | None = None,
-) -> ThetaUpdate:
-    """One slot-wise theta move.
+    cur_loglik: float,
+) -> tuple[float, bool, float, bool]:
+    """One move of entry ``j`` of the packed ``theta``.
 
     The proposal comes from the conditional prior (gamma for amplitudes
-    and lengthscales, Uniform(0, pi) for the direction), so acceptance
-    reduces to the data likelihood ratio. A proposal whose likelihood
-    evaluation fails numerically is auto-rejected and flagged.
+    and lengthscales, Uniform(0, pi) for the direction angle, the entry
+    past the ``S`` rows of ``eta``), so acceptance reduces to the data
+    likelihood ratio. A proposal whose likelihood evaluation fails
+    numerically is auto-rejected and flagged. Returns ``(value,
+    accepted, loglik, failed)``.
     """
-    if slot == "gamma":
-        proposal = float(rngs.theta_proposals.uniform(0.0, math.pi))
+    if j >= len(eta):
+        value = float(rngs.theta_proposals.uniform(0.0, math.pi))
     else:
-        proposal = _draw_gamma(rngs.theta_proposals, eta.shapes[slot], eta.scales[slot])
-    if cur_loglik is None:
-        try:
-            cur_loglik = loglik(theta)
-        except NumericalError:
-            cur_loglik = -math.inf
+        value = _draw_gamma(rngs.theta_proposals, *eta[j].tolist())
+    proposal = theta.copy()
+    proposal[j] = value
     try:
-        prop_loglik = loglik(theta.with_value(slot, proposal))
+        prop_loglik = loglik(proposal)
     except NumericalError:
-        return ThetaUpdate(theta.slot(slot), accepted=False, loglik=cur_loglik, failed=True)
+        return float(theta[j]), False, cur_loglik, True
     if _mh_accept(prop_loglik - cur_loglik, rngs.accept):
-        return ThetaUpdate(proposal, accepted=True, loglik=prop_loglik)
-    return ThetaUpdate(theta.slot(slot), accepted=False, loglik=cur_loglik)
-
-
-@dataclass
-class EtaUpdate:
-    value: float
-    accepted: bool
+        return value, True, prop_loglik, False
+    return float(theta[j]), False, cur_loglik, False
 
 
 def eta_update(
-    spec: KernelSpec,
-    slot: str,
-    which: str,
-    eta: EtaParams,
-    theta_all: Sequence[ThetaVector],
+    eta: np.ndarray,
+    i: int,
+    w: int,
+    values: np.ndarray,
     rngs: ChainRngs,
-    widths: ProposalWidths | None = None,
-) -> EtaUpdate:
-    """One random-walk move of a single eta parameter.
+    width: float,
+) -> tuple[float, bool]:
+    """One random-walk move of ``eta[i, w]`` (``w`` 0: shape, 1: scale).
 
-    The positivity prior zeroes out non-positive proposals; otherwise
-    the symmetric proposal cancels and acceptance is the ratio of the
-    products of gamma densities of the current theta slot values. With
-    no snapshots this degenerates to a positive-constrained random walk.
+    ``values`` holds slot ``i`` of every snapshot's theta. The positivity
+    prior zeroes out non-positive proposals; otherwise the symmetric
+    proposal cancels and acceptance is the ratio of the products of
+    gamma densities of ``values``. With no snapshots this degenerates to
+    a positive-constrained random walk. Returns ``(value, accepted)``.
     """
-    kind = next(s.kind for s in spec.sampled_slots if s.name == slot)
-    widths = widths or ProposalWidths()
-    cur = eta.shapes[slot] if which == "shape" else eta.scales[slot]
-    proposal = cur + float(rngs.eta_proposals.normal(0.0, widths.get(kind, which)))
+    cur = eta[i].tolist()
+    proposal = cur[w] + float(rngs.eta_proposals.normal(0.0, width))
     if proposal <= 0:
-        return EtaUpdate(cur, accepted=False)
-    values = np.array([t.values[slot] for t in theta_all], dtype=float)
-    if values.size == 0:
+        return cur[w], False
+    if len(values) == 0:
         log_ratio = 0.0
     else:
-        shape_new = proposal if which == "shape" else eta.shapes[slot]
-        scale_new = proposal if which == "scale" else eta.scales[slot]
+        new = list(cur)
+        new[w] = proposal
         log_ratio = float(
-            np.sum(gamma_logpdf(values, shape_new, scale_new))
-            - np.sum(gamma_logpdf(values, eta.shapes[slot], eta.scales[slot]))
+            np.sum(gamma_logpdf(values, *new)) - np.sum(gamma_logpdf(values, *cur))
         )
     if _mh_accept(log_ratio, rngs.accept):
-        return EtaUpdate(proposal, accepted=True)
-    return EtaUpdate(cur, accepted=False)
+        return proposal, True
+    return cur[w], False
 
 
 @dataclass
@@ -259,7 +223,7 @@ def run_chain(
     B: int = 5,
     seed: int = 13,
     widths: ProposalWidths | None = None,
-    loglik_fn: Callable[[int, ThetaVector], float] | None = None,
+    loglik_fn: Callable[[int, np.ndarray], float] | None = None,
     freeze_eta: bool = False,
 ) -> ChainResult:
     """Collect H joint (eta, theta) samples over the tuning snapshots.
@@ -269,9 +233,11 @@ def run_chain(
     then runs ``B`` sweeps of all eta shape/scale moves. All H samples
     are stored; discard ``burn_in`` downstream.
 
-    ``loglik_fn(n, theta)`` overrides the GP marginal likelihood (used
-    by stationarity diagnostics); ``freeze_eta`` pins eta at its initial
-    value, which makes the theta moves' stationary law a fixed gamma.
+    ``loglik_fn(n, t)`` overrides the GP marginal likelihood (used by
+    stationarity diagnostics); it receives snapshot ``n``'s packed theta
+    ``t`` in :attr:`KernelSpec.layout` order. ``freeze_eta`` pins eta at
+    its initial value, which makes the theta moves' stationary law a
+    fixed gamma.
     """
     if len(tuning_snapshots) < 1:
         raise InputError("need at least one tuning snapshot")
@@ -279,7 +245,7 @@ def run_chain(
         raise InputError(f"need H > burn_in >= 0, got H={H} burn_in={burn_in}")
     if B < 1:
         raise InputError(f"need B >= 1, got B={B}")
-    widths = widths or ProposalWidths()
+    width = (widths or ProposalWidths()).array(spec)
 
     if loglik_fn is None:
         cached = []
@@ -291,73 +257,64 @@ def run_chain(
             cached.append(
                 CachedMarginal(spec, snap.locations[snap.mask], snap.values_pre[snap.mask])
             )
-        loglik_fn = lambda n, theta: cached[n](theta)  # noqa: E731
+        loglik_fn = lambda n, t: cached[n](t)  # noqa: E731
 
     rngs = ChainRngs(seed)
-    N = len(tuning_snapshots)
-    sweep_slots = [s.name for s in spec.sampled_slots]
-    if spec.has_direction:
-        sweep_slots.append("gamma")
-    eta_params = [(s.name, w) for s in spec.sampled_slots for w in ("shape", "scale")]
+    N, S, p = len(tuning_snapshots), len(spec.sampled_slots), len(spec.layout)
 
-    eta = EtaParams.ones(spec)
-    thetas = [sample_theta_from_eta(spec, eta, rngs.theta_proposals) for _ in range(N)]
+    eta = np.ones((S, 2))
+    theta = np.array([sample_theta_from_eta(spec, eta, rngs.theta_proposals) for _ in range(N)])
     cur_logliks = []
-    for n, theta in enumerate(thetas):
+    for n in range(N):
         try:
-            cur_logliks.append(loglik_fn(n, theta))
+            cur_logliks.append(loglik_fn(n, theta[n]))
         except NumericalError:
             cur_logliks.append(-math.inf)
 
     samples: list[ChainSample] = []
-    theta_accepted = np.zeros((H, len(sweep_slots)), dtype=int)
-    theta_means = np.zeros((H, len(sweep_slots)))
-    eta_accepted = np.zeros((H, len(eta_params)), dtype=int)
-    eta_values = np.zeros((H, len(eta_params)))
+    theta_accepted = np.zeros((H, p), dtype=int)
+    theta_means = np.zeros((H, p))
+    eta_accepted = np.zeros((H, 2 * S), dtype=int)
+    eta_values = np.zeros((H, 2 * S))
     n_failures = 0
 
     for h in range(H):
         for n in range(N):
-            for j, slot in enumerate(sweep_slots):
-                upd = theta_update(
-                    spec,
-                    thetas[n],
-                    slot,
-                    eta,
-                    lambda t, _n=n: loglik_fn(_n, t),
-                    rngs,
-                    cur_loglik=cur_logliks[n],
+            for j in range(p):
+                value, accepted, cur_logliks[n], failed = theta_update(
+                    theta[n], j, eta, lambda t, _n=n: loglik_fn(_n, t), rngs, cur_logliks[n]
                 )
-                if upd.failed:
-                    n_failures += 1
-                if upd.accepted:
-                    thetas[n] = thetas[n].with_value(slot, upd.value)
+                n_failures += failed
+                if accepted:
+                    theta[n, j] = value
                     theta_accepted[h, j] += 1
-                cur_logliks[n] = upd.loglik
 
+        columns = theta.T.copy()  # (p, N); the eta moves see fixed thetas
         if not freeze_eta:
             for _ in range(B):
-                for k, (slot, which) in enumerate(eta_params):
-                    upd = eta_update(spec, slot, which, eta, thetas, rngs, widths)
-                    if upd.accepted:
-                        (eta.shapes if which == "shape" else eta.scales)[slot] = upd.value
+                for k in range(2 * S):
+                    i, w = divmod(k, 2)
+                    value, accepted = eta_update(eta, i, w, columns[i], rngs, width[i, w])
+                    if accepted:
+                        eta[i, w] = value
                         eta_accepted[h, k] += 1
 
-        samples.append(ChainSample(iteration=h + 1, eta=eta.copy(), theta_all=tuple(thetas)))
-        theta_means[h] = [np.mean([t.slot(slot) for t in thetas]) for slot in sweep_slots]
-        eta_values[h] = [(eta.shapes if w == "shape" else eta.scales)[s] for s, w in eta_params]
+        samples.append(ChainSample(h + 1, spec, eta.copy(), theta.copy()))
+        theta_means[h] = [np.mean(column) for column in columns]
+        eta_values[h] = eta.ravel()
 
-    eta_names = tuple(f"{s}.{w}" for s, w in eta_params)
+    theta_slots = spec.layout
+    eta_names = tuple(f"{s.name}.{w}" for s in spec.sampled_slots for w in ("shape", "scale"))
     return ChainResult(
         spec=spec,
         samples=samples,
         burn_in=burn_in,
         B=B,
         seed=seed,
-        theta_acceptance=dict(zip(sweep_slots, (theta_accepted.sum(axis=0) / (H * N)).tolist())),
+        theta_acceptance=dict(zip(theta_slots, (theta_accepted.sum(axis=0) / (H * N)).tolist())),
         eta_acceptance=dict(zip(eta_names, (eta_accepted.sum(axis=0) / (H * B)).tolist())),
         n_numerical_failures=n_failures,
-        theta_slots=tuple(sweep_slots),
+        theta_slots=theta_slots,
         eta_names=eta_names,
         theta_accepted=theta_accepted,
         theta_means=theta_means,
@@ -388,7 +345,7 @@ def draw_prior_samples(
     samples = []
     for _ in range(M):
         h = int(rng.integers(burn_in, len(chain)))
-        samples.append(sample_theta_from_eta(spec, chain[h].eta, rng))
+        samples.append(spec.unpack(sample_theta_from_eta(spec, chain[h].eta, rng)))
     return PriorSampleSet(samples=samples, provenance=dict(provenance or {}))
 
 
@@ -444,7 +401,10 @@ def load_prior(path, expected_spec: KernelSpec | None = None) -> PriorSampleSet:
                     gamma=rec.get("gamma"),
                     noise_variance=rec.get("noise_variance", NOISE_VARIANCE),
                 )
-                theta.validate(spec)
+                try:
+                    theta.validate(spec)
+                except InputError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
                 samples.append(theta)
             else:
                 raise ParseError(f"{path}:{lineno}: unknown record type")
@@ -465,7 +425,7 @@ def diagnostics_csv(result: ChainResult) -> str:
     then its theta slots sorted by name; rates are accepted moves over
     B sweeps (eta) or over N snapshots (theta).
     """
-    N = len(result.samples[0].theta_all)
+    N = len(result.samples[0].theta)
     eta_rates = (result.eta_accepted / result.B).tolist()
     theta_rates = (result.theta_accepted / N).tolist()
     eta_values, theta_means = result.eta_values.tolist(), result.theta_means.tolist()

@@ -3,6 +3,9 @@ outputs and the correlation-curve command."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import airbo
 from airbo.cli import main
 from airbo.data import Dataset, Snapshot, save_dataset
 from airbo.kernels import ThetaVector, get_spec
@@ -85,7 +89,31 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 class TestSynth:
+    def test_unset_blas_threads_default_to_one(self, workdir):
+        # at 144 points a multi-threaded Cholesky gives other bits than a
+        # single-threaded one, so the bytes pin the thread count; on a
+        # one-core machine both runs are single-threaded anyway
+        cfg = write_config(workdir / "cfg.ini", grid_size=12, n_snapshots=4)
+        package_parent = str(Path(airbo.__file__).resolve().parent.parent)
+        written = []
+        for threads in (None, "1"):
+            env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+            if threads is not None:
+                env.update(dict.fromkeys(_BLAS_VARS, threads))
+            path = filter(None, [package_parent, env.get("PYTHONPATH")])
+            env["PYTHONPATH"] = os.pathsep.join(path)
+            out = f"threads-{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "airbo", "synth", "--config", str(cfg), "--out", out],
+                cwd=workdir, env=env, check=True, capture_output=True,
+            )
+            written.append((workdir / out / "dataset.jsonl").read_bytes())
+        assert written[0] == written[1]
+
     def test_default_split_half_half(self, workdir):
         cfg = write_config(workdir / "cfg.ini", n_snapshots=20, grid_size=6)
         result = run_cli("synth", "--config", str(cfg))
@@ -204,6 +232,22 @@ class TestExitCodes:
 
 
 _HEADER = '{"record": "header", "kernel": "rbf_rbf"}\n'
+_SUM_HEADER = '{"record": "header", "kernel": "sum"}\n'
+
+
+def _sample(**override):
+    """A prior.jsonl sample line of the sum kernel, with entries overridden."""
+    rec = {"record": "sample", "gamma": 0.5,
+           "values": {"sigma_r1": 1.0, "l_r1": 1.0, "sigma_w2": 1.0, "l_w2": 1.0}}
+    if "gamma" in override:
+        rec["gamma"] = override.pop("gamma")
+    rec["values"].update(override)
+    return json.dumps(rec) + "\n"
+
+
+def _theta_file(**override):
+    rec = json.loads(_sample(**override))
+    return json.dumps({"kernel": "sum", "values": rec["values"], "gamma": rec["gamma"]})
 
 
 class TestMalformedArtifacts:
@@ -219,8 +263,19 @@ class TestMalformedArtifacts:
          '{"record": "stats"}\n{"record": "snapshot", "id": "a", "locations": [[0, 0]], '
          '"mask": [true]}\n', 2, "'values_raw'"),
         ("evaluate", "--dataset", '{"record": "stats"}\n5\n', 2, "expected a JSON object"),
+        ("correlation-curve", "--prior", _SUM_HEADER + _sample(sigma_r1="1"), 2, "sigma_r1='1'"),
+        ("correlation-curve", "--prior", _SUM_HEADER + _sample(l_r1=True), 2, "l_r1=True"),
+        ("correlation-curve", "--prior", _SUM_HEADER + _sample(l_w2=None), 2, "l_w2=None"),
+        ("correlation-curve", "--prior", _SUM_HEADER + _sample(gamma="0.5"), 2, "gamma='0.5'"),
+        ("correlation-curve", "--theta", _theta_file(gamma="0.5"), 1, "gamma='0.5'"),
+        ("correlation-curve", "--theta", _theta_file(sigma_w2=False), 1, "sigma_w2=False"),
+        ("correlation-curve", "--theta", _theta_file(gamma=None), 1, "gamma=None"),
+        ("correlation-curve", "--theta", '{"kernel": "rbf_rbf", "values": 5}', 1,
+         "must be a mapping"),
     ], ids=["prior-header", "prior-sample", "theta-fields", "theta-json", "theta-scalar",
-         "prior-scalar", "prior-list", "dataset-snapshot", "dataset-scalar"])
+         "prior-scalar", "prior-list", "dataset-snapshot", "dataset-scalar",
+         "prior-string-value", "prior-bool-value", "prior-null-value", "prior-string-gamma",
+         "theta-string-gamma", "theta-bool-value", "theta-null-gamma", "theta-values-scalar"])
     def test_bad_input_exits_2_naming_path_and_line(
         self, workdir, verb, flag, text, where, message
     ):
@@ -232,6 +287,15 @@ class TestMalformedArtifacts:
         assert f"{path}:{where}: " in result.output
         assert message in result.output
 
+
+    def test_non_numeric_prior_value_exits_2_from_run_bo(self, workdir):
+        cfg = write_config(workdir / "cfg.ini")
+        path = workdir / "prior.jsonl"
+        path.write_text(_HEADER + '{"record": "sample", "values": {"sigma_r1": "1", '
+                        '"l_r1": 1.0, "sigma_r2": 1.0, "l_r2": 1.0}}\n')
+        result = CliRunner().invoke(main, ["run-bo", "--config", str(cfg), "--prior", str(path)])
+        assert result.exit_code == 2, result.output
+        assert f"{path}:2: " in result.output
 
     @pytest.mark.parametrize("manifest,message", [
         ('{"method": "bo"', "Expecting"),

@@ -119,6 +119,38 @@ class TestCompositeEval:
         assert RBF_PRODUCT.n_hyperparameters == 7
 
 
+class TestPackedTheta:
+    def test_layouts(self):
+        assert RBF_RBF.layout == ("sigma_r1", "l_r1", "sigma_r2", "l_r2")
+        assert SUM.layout == ("sigma_r1", "l_r1", "sigma_w2", "l_w2", "gamma")
+        assert RBF_PRODUCT.layout == ("sigma_r1", "l_r1", "sigma_r2", "l_r2", "l_w3", "gamma")
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), spec=st.sampled_from([RBF_RBF, SUM, RBF_PRODUCT]))
+    def test_packed_and_vector_forms_agree_exactly(self, data, spec):
+        theta = data.draw(random_theta(spec))
+        t = spec.pack(theta)
+        assert spec.unpack(t) == theta
+        X = np.random.default_rng(7).uniform(-20, 20, size=(6, 2))
+        assert np.array_equal(covariance_matrix(spec, t, X), covariance_matrix(spec, theta, X))
+        assert np.array_equal(
+            cross_covariance(spec, t, X[:2], X), cross_covariance(spec, theta, X[:2], X)
+        )
+        assert composite_eval(spec, t, (1.0, 2.0)) == composite_eval(spec, theta, (1.0, 2.0))
+
+    @pytest.mark.parametrize("values,gamma", [
+        ({"sigma_r1": "1", "l_r1": 1, "sigma_w2": 1, "l_w2": 1}, 0.5),
+        ({"sigma_r1": True, "l_r1": 1, "sigma_w2": 1, "l_w2": 1}, 0.5),
+        ({"sigma_r1": None, "l_r1": 1, "sigma_w2": 1, "l_w2": 1}, 0.5),
+        ({"sigma_r1": 1, "l_r1": 1, "sigma_w2": 1, "l_w2": 1}, "0.5"),
+        ({"sigma_r1": 1, "l_r1": 1, "sigma_w2": 1, "l_w2": 1}, False),
+        ([1, 1, 1, 1], 0.5),
+    ])
+    def test_pack_rejects_non_numeric_entries(self, values, gamma):
+        with pytest.raises(InputError):
+            SUM.pack(ThetaVector(values=values, gamma=gamma))
+
+
 class TestCovarianceMatrix:
     def test_single_point_with_noise(self):
         K = covariance_matrix(RBF_RBF, theta_rbf_rbf(1, 1, 1, 1), [(0.0, 0.0)])

@@ -8,12 +8,13 @@ import pytest
 from scipy import stats
 
 from airbo.data import Dataset, generate_synthetic, preprocess
-from airbo.errors import InputError
+from airbo.errors import InputError, NumericalError
+from airbo.gp import CachedMarginal
 from airbo.kernels import NOISE_VARIANCE, ThetaVector, get_spec
 from airbo.mcmc import (
     ChainSample,
-    EtaParams,
     ProposalWidths,
+    _mh_accept,
     diagnostics_csv,
     draw_prior_samples,
     eta_update,
@@ -28,6 +29,8 @@ from airbo.rng import ChainRngs
 
 RBF_RBF = get_spec("rbf_rbf")
 SUM = get_spec("sum")
+FAMILIES = ("rbf_rbf", "sum", "rbf_product")
+L_R1 = RBF_RBF.layout.index("l_r1")
 
 FLAT = lambda theta: 0.0  # noqa: E731
 
@@ -62,65 +65,68 @@ class TestGammaLogpdf:
 
 
 def theta_one():
-    return ThetaVector(values={"sigma_r1": 1.0, "l_r1": 1.0, "sigma_r2": 1.0, "l_r2": 1.0})
+    """All-ones packed rbf_rbf theta."""
+    return np.ones(len(RBF_RBF.layout))
+
+
+def eta_one(spec=RBF_RBF):
+    return np.ones((len(spec.sampled_slots), 2))
 
 
 class TestThetaUpdate:
     def test_flat_likelihood_always_accepts(self):
         rngs = ChainRngs(0)
-        eta = EtaParams.ones(RBF_RBF)
         for _ in range(200):
-            upd = theta_update(RBF_RBF, theta_one(), "l_r1", eta, FLAT, rngs, cur_loglik=0.0)
-            assert upd.accepted
+            _, accepted, _, _ = theta_update(theta_one(), L_R1, eta_one(), FLAT, rngs, 0.0)
+            assert accepted
 
     def test_much_better_proposal_always_accepted(self):
         # any proposal's likelihood is e^2 larger than the current one
         rngs = ChainRngs(1)
-        eta = EtaParams.ones(RBF_RBF)
         current = theta_one()
-        better = lambda t: 0.0 if t.values["l_r1"] == current.values["l_r1"] else 2.0  # noqa: E731
+        better = lambda t: 0.0 if t[L_R1] == current[L_R1] else 2.0  # noqa: E731
         for _ in range(200):
-            upd = theta_update(RBF_RBF, current, "l_r1", eta, better, rngs)
-            assert upd.accepted
+            _, accepted, _, _ = theta_update(
+                current, L_R1, eta_one(), better, rngs, better(current)
+            )
+            assert accepted
 
     def test_fixed_seed_reproducible(self):
         def sequence():
             rngs = ChainRngs(7)
-            eta = EtaParams.ones(RBF_RBF)
             theta = theta_one()
-            lik = lambda t: -0.5 * (t.values["l_r1"] - 2.0) ** 2  # noqa: E731
+            lik = lambda t: -0.5 * (t[L_R1] - 2.0) ** 2  # noqa: E731
             out = []
             for _ in range(50):
-                upd = theta_update(RBF_RBF, theta, "l_r1", eta, lik, rngs)
-                theta = theta.with_value("l_r1", upd.value)
-                out.append((upd.value, upd.accepted))
+                value, accepted, _, _ = theta_update(
+                    theta, L_R1, eta_one(), lik, rngs, lik(theta)
+                )
+                theta[L_R1] = value
+                out.append((value, accepted))
             return out
 
         assert sequence() == sequence()
 
     def test_numerical_failure_rejects_and_flags(self):
-        from airbo.errors import NumericalError
-
         rngs = ChainRngs(2)
-        eta = EtaParams.ones(RBF_RBF)
 
         def broken(theta):
             raise NumericalError("boom")
 
-        upd = theta_update(RBF_RBF, theta_one(), "l_r1", eta, broken, rngs, cur_loglik=0.0)
-        assert not upd.accepted
-        assert upd.failed
-        assert upd.value == 1.0
+        value, accepted, loglik, failed = theta_update(
+            theta_one(), L_R1, eta_one(), broken, rngs, 0.0
+        )
+        assert not accepted
+        assert failed
+        assert value == 1.0
+        assert loglik == 0.0
 
     def test_gamma_slot_proposes_uniform_angles(self):
         rngs = ChainRngs(3)
-        eta = EtaParams.ones(SUM)
-        theta = ThetaVector(
-            values={"sigma_r1": 1, "l_r1": 1, "sigma_w2": 1, "l_w2": 1}, gamma=0.5
-        )
+        theta = np.array([1.0, 1.0, 1.0, 1.0, 0.5])
+        j = SUM.layout.index("gamma")
         values = [
-            theta_update(SUM, theta, "gamma", eta, FLAT, rngs, cur_loglik=0.0).value
-            for _ in range(500)
+            theta_update(theta, j, eta_one(SUM), FLAT, rngs, 0.0)[0] for _ in range(500)
         ]
         assert all(0 <= v < math.pi for v in values)
         assert stats.kstest(values, stats.uniform(0, math.pi).cdf).pvalue > 0.01
@@ -136,46 +142,148 @@ class _FixedNormal:
         return self.offset
 
 
+SHAPE, SCALE = 0, 1
+L_R1_WIDTH = ProposalWidths().array(RBF_RBF)[L_R1]
+
+
 class TestEtaUpdate:
     def test_nonpositive_proposal_always_rejected(self):
         rngs = ChainRngs(0)
         rngs.eta_proposals = _FixedNormal(-5.0)  # proposal = 1 - 5 < 0
-        eta = EtaParams.ones(RBF_RBF)
-        upd = eta_update(RBF_RBF, "l_r1", "shape", eta, [theta_one()], rngs)
-        assert not upd.accepted
-        assert upd.value == 1.0
+        value, accepted = eta_update(eta_one(), L_R1, SHAPE, np.ones(1), rngs, L_R1_WIDTH[SHAPE])
+        assert not accepted
+        assert value == 1.0
 
     def test_identical_density_always_accepted(self):
         rngs = ChainRngs(1)
         rngs.eta_proposals = _FixedNormal(0.0)  # proposal == current
-        eta = EtaParams.ones(RBF_RBF)
-        upd = eta_update(RBF_RBF, "l_r1", "scale", eta, [theta_one()], rngs)
-        assert upd.accepted
+        _, accepted = eta_update(eta_one(), L_R1, SCALE, np.ones(1), rngs, L_R1_WIDTH[SCALE])
+        assert accepted
 
     def test_shape_move_with_unit_ratio_always_accepted(self):
         # N=1, theta=1: density(1; shape 2, scale 1) == density(1; 1, 1)
         rngs = ChainRngs(2)
         rngs.eta_proposals = _FixedNormal(1.0)  # shape 1 -> 2
-        eta = EtaParams.ones(RBF_RBF)
         for _ in range(100):
-            upd = eta_update(RBF_RBF, "l_r1", "shape", eta, [theta_one()], rngs)
-            assert upd.accepted
-            assert upd.value == 2.0
+            value, accepted = eta_update(
+                eta_one(), L_R1, SHAPE, np.ones(1), rngs, L_R1_WIDTH[SHAPE]
+            )
+            assert accepted
+            assert value == 2.0
 
     def test_no_snapshots_degenerates_to_positive_random_walk(self):
         rngs = ChainRngs(3)
-        eta = EtaParams.ones(RBF_RBF)
+        eta = eta_one()
         value = 1.0
         accepted_positive = 0
         for _ in range(2000):
-            eta.shapes["l_r1"] = value
-            upd = eta_update(RBF_RBF, "l_r1", "shape", eta, [], rngs)
-            if upd.accepted:
+            eta[L_R1, SHAPE] = value
+            value, accepted = eta_update(
+                eta, L_R1, SHAPE, np.empty(0), rngs, L_R1_WIDTH[SHAPE]
+            )
+            if accepted:
                 accepted_positive += 1
-                assert upd.value > 0
-            value = upd.value
+                assert value > 0
         assert value > 0
         assert accepted_positive > 0
+
+
+def reference_run_chain(spec, tuning_snapshots, H, B, seed, loglik_fn, freeze_eta=False):
+    """The dict-keyed chain that the packed ``run_chain`` replaced: thetas
+    are :class:`ThetaVector` s copied on every move, eta is two dicts keyed
+    by slot name, and each eta move looks its width up by slot kind.
+    Returns per-iteration eta ``(S, 2)`` and theta ``(N, p)`` arrays, the
+    acceptance counts and the number of failed likelihood evaluations."""
+    rngs = ChainRngs(seed)
+    widths = ProposalWidths()
+    names = [s.name for s in spec.sampled_slots]
+    kinds = {s.name: s.kind.value for s in spec.sampled_slots}
+    sweep = names + (["gamma"] if spec.has_direction else [])
+    eta = {"shape": dict.fromkeys(names, 1.0), "scale": dict.fromkeys(names, 1.0)}
+
+    def draw(slot):
+        if slot == "gamma":
+            return float(rngs.theta_proposals.uniform(0.0, math.pi))
+        shape, scale = eta["shape"][slot], eta["scale"][slot]
+        return max(float(rngs.theta_proposals.gamma(shape, scale)), 1e-12)
+
+    thetas = []
+    for _ in tuning_snapshots:
+        values = {name: draw(name) for name in names}
+        thetas.append(ThetaVector(values, draw("gamma") if spec.has_direction else None))
+    cur = []
+    for n, theta in enumerate(thetas):
+        try:
+            cur.append(loglik_fn(n, theta))
+        except NumericalError:
+            cur.append(-math.inf)
+
+    out = {"eta": [], "theta": [], "theta_accepted": [], "eta_accepted": [], "failures": 0}
+    for _ in range(H):
+        theta_acc = dict.fromkeys(sweep, 0)
+        for n in range(len(thetas)):
+            for slot in sweep:
+                proposal = thetas[n].with_value(slot, draw(slot))
+                try:
+                    loglik = loglik_fn(n, proposal)
+                except NumericalError:
+                    out["failures"] += 1
+                    continue
+                if _mh_accept(loglik - cur[n], rngs.accept):
+                    thetas[n], cur[n] = proposal, loglik
+                    theta_acc[slot] += 1
+        eta_acc = {(name, which): 0 for name in names for which in ("shape", "scale")}
+        for _ in range(0 if freeze_eta else B):
+            for name, which in eta_acc:
+                width = getattr(widths, f"{which}_{kinds[name]}")
+                proposal = eta[which][name] + float(rngs.eta_proposals.normal(0.0, width))
+                if proposal <= 0:
+                    continue
+                values = np.array([t.values[name] for t in thetas])
+                new = {w: eta[w][name] for w in eta} | {which: proposal}
+                log_ratio = float(
+                    np.sum(gamma_logpdf(values, new["shape"], new["scale"]))
+                    - np.sum(gamma_logpdf(values, eta["shape"][name], eta["scale"][name]))
+                )
+                if _mh_accept(log_ratio, rngs.accept):
+                    eta[which][name] = proposal
+                    eta_acc[name, which] += 1
+        out["eta"].append(np.array([[eta["shape"][n], eta["scale"][n]] for n in names]))
+        out["theta"].append(np.array([[t.slot(slot) for slot in sweep] for t in thetas]))
+        out["theta_accepted"].append(list(theta_acc.values()))
+        out["eta_accepted"].append(list(eta_acc.values()))
+    return out
+
+
+class TestReferenceChain:
+    """The packed chain against the dict-keyed reference, exactly."""
+
+    @pytest.mark.parametrize("mode", ["free", "frozen", "failing"])
+    @pytest.mark.parametrize("n_snapshots", [1, 3])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_identical_to_reference(self, family, n_snapshots, mode):
+        spec = get_spec(family)
+        tuning = make_tuning(n_snapshots=n_snapshots, grid=4)
+        cached = [CachedMarginal(spec, s.locations[s.mask], s.values_pre[s.mask]) for s in tuning]
+
+        def loglik(n, t):
+            l_r1 = t.values["l_r1"] if isinstance(t, ThetaVector) else t[1]
+            if mode == "failing" and l_r1 > 1.0:
+                raise NumericalError("refused")
+            return cached[n](t)
+
+        frozen = mode == "frozen"
+        result = run_chain(spec, tuning, H=6, burn_in=1, B=2, seed=5,
+                           loglik_fn=loglik, freeze_eta=frozen)
+        ref = reference_run_chain(spec, tuning, H=6, B=2, seed=5,
+                                  loglik_fn=loglik, freeze_eta=frozen)
+        for h, sample in enumerate(result.samples):
+            assert np.array_equal(sample.eta, ref["eta"][h])
+            assert np.array_equal(sample.theta, ref["theta"][h])
+        assert np.array_equal(result.theta_accepted, ref["theta_accepted"])
+        assert np.array_equal(result.eta_accepted, ref["eta_accepted"])
+        assert result.n_numerical_failures == ref["failures"]
+        assert (result.n_numerical_failures > 0) == (mode == "failing")
 
 
 class TestRunChain:
@@ -184,8 +292,8 @@ class TestRunChain:
         a = run_chain(RBF_RBF, tuning, H=10, burn_in=2, B=2, seed=13)
         b = run_chain(RBF_RBF, tuning, H=10, burn_in=2, B=2, seed=13)
         for sa, sb in zip(a.samples, b.samples):
-            assert sa.eta.shapes == sb.eta.shapes
-            assert sa.eta.scales == sb.eta.scales
+            assert np.array_equal(sa.eta, sb.eta)
+            assert np.array_equal(sa.theta, sb.theta)
             for ta, tb in zip(sa.theta_all, sb.theta_all):
                 assert ta.values == tb.values
 
@@ -204,12 +312,12 @@ class TestRunChain:
         # likelihood Gamma(x; 2, 1) against prior Gamma(1, 1) has
         # stationary law Gamma(2, 1/2): checks the accept/reject maths
         tuning = make_tuning(n_snapshots=1, grid=2)
-        lik = lambda n, t: float(gamma_logpdf(t.values["l_r1"], 2.0, 1.0))  # noqa: E731
+        lik = lambda n, t: float(gamma_logpdf(t[L_R1], 2.0, 1.0))  # noqa: E731
         result = run_chain(
             RBF_RBF, tuning, H=4000, burn_in=500, B=1, seed=13,
             loglik_fn=lik, freeze_eta=True,
         )
-        samples = [s.theta_all[0].values["l_r1"] for s in result.samples[500:]]
+        samples = [s.theta[0, L_R1] for s in result.samples[500:]]
         assert stats.kstest(samples, stats.gamma(a=2.0, scale=0.5).cdf).pvalue > 0.01
 
     def test_single_observation_thetas_track_eta_implied_gamma(self):
@@ -225,10 +333,10 @@ class TestRunChain:
         oracle = []
         rng = np.random.default_rng(99)
         for s in result.samples[300:]:
-            eta = s.eta
-            for t in s.theta_all:
-                chain_samples.append(t.values["l_r1"])
-                oracle.append(rng.gamma(eta.shapes["l_r1"], eta.scales["l_r1"]))
+            shape, scale = s.eta[L_R1]
+            for t in s.theta:
+                chain_samples.append(t[L_R1])
+                oracle.append(rng.gamma(shape, scale))
         p = stats.ks_2samp(chain_samples, oracle).pvalue
         assert p > 0.01
 
@@ -240,8 +348,7 @@ class TestRunChain:
                 assert all(v > 0 for v in t.values.values())
                 assert 0 <= t.gamma < math.pi
                 assert t.noise_variance == NOISE_VARIANCE
-            assert all(v > 0 for v in sample.eta.shapes.values())
-            assert all(v > 0 for v in sample.eta.scales.values())
+            assert np.all(sample.eta > 0)
 
     def test_diagnostics_csv_layout(self):
         # per iteration: eta rows sorted by slot.which, then theta rows
@@ -265,8 +372,8 @@ class TestRunChain:
             assert [r[1] for r in block] == eta_names + theta_names
             for _, name, rate, value in block[:8]:
                 _, slot, which = name.split(".")
-                expected = sample.eta.shapes if which == "shape" else sample.eta.scales
-                assert float(value) == expected[slot]
+                expected = sample.eta[sampled.index(slot), ("shape", "scale").index(which)]
+                assert float(value) == expected
                 assert float(rate) in {k / B for k in range(B + 1)}
             for _, slot, rate, value in block[8:]:
                 assert float(value) == float(np.mean([t.slot(slot) for t in sample.theta_all]))
@@ -285,20 +392,21 @@ class TestRunChain:
             run_chain(RBF_RBF, tuning, H=5, burn_in=1, B=0)
 
     def test_unpreprocessed_snapshot_rejected(self):
-        theta = theta_one()
+        theta = ThetaVector(values={"sigma_r1": 1.0, "l_r1": 1.0, "sigma_r2": 1.0, "l_r2": 1.0})
         synth = generate_synthetic(RBF_RBF, theta, 3, 1, seed=0)
         with pytest.raises(InputError, match="not preprocessed"):
             run_chain(RBF_RBF, synth.snapshots, H=5, burn_in=1)
 
 
 def fake_chain(length, shapes=None, scales=None, spec=RBF_RBF):
-    eta = EtaParams.ones(spec)
-    if shapes:
-        eta.shapes.update(shapes)
-    if scales:
-        eta.scales.update(scales)
+    names = [s.name for s in spec.sampled_slots]
+    eta = eta_one(spec)
+    for name, value in (shapes or {}).items():
+        eta[names.index(name), SHAPE] = value
+    for name, value in (scales or {}).items():
+        eta[names.index(name), SCALE] = value
     theta = sample_theta_from_eta(spec, eta, np.random.default_rng(0))
-    return [ChainSample(iteration=h + 1, eta=eta, theta_all=(theta,)) for h in range(length)]
+    return [ChainSample(h + 1, spec, eta, theta[None, :]) for h in range(length)]
 
 
 class TestDrawPriorSamples:
@@ -365,3 +473,8 @@ class TestProposalWidths:
         w = ProposalWidths()
         assert (w.shape_lengthscale, w.scale_lengthscale) == (1.5, 0.5)
         assert (w.shape_amplitude, w.scale_amplitude) == (0.3, 0.1)
+
+    def test_array_follows_slot_kinds(self):
+        # sum: sigma_r1, l_r1, sigma_w2, l_w2
+        expected = [[0.3, 0.1], [1.5, 0.5], [0.3, 0.1], [1.5, 0.5]]
+        assert ProposalWidths().array(SUM).tolist() == expected
